@@ -1,5 +1,7 @@
-"""Four-step starting-point construction: ICA estimate, assisted-atom
-alignment, full-matrix sparsity refinement, sparsity-ordered permutation.
+"""Starting-point construction in five steps: ICA estimate, assisted-atom
+alignment, full-matrix sparsity refinement, sparsity-ordered permutation,
+and one row projection followed by a support cut that makes every row
+feasible under its own reweighting.
 
 The ICA stage is a self-contained symmetric fixed-point iteration (tanh
 contrast) on PCA-whitened data, so the initializer carries no external
@@ -200,6 +202,45 @@ def order_by_sparsity(d: Dictionary, s: CoefficientMatrix, m: int):
     )
 
 
+def _own_weight_norms(s, epsilon):
+    """Row norms of ``s`` under its own reweighting; the start is feasible
+    when each is at most ``phi_i + 1e-10``."""
+    return np.einsum("ij,ij->i", compute_weights(s, epsilon), np.abs(s))
+
+
+def _cut_to_budget(s, phi, epsilon):
+    """Zero the smallest entries of each row until its own-weight norm fits
+    its budget.
+
+    Each row keeps the longest prefix of its largest magnitudes whose terms
+    ``|s| / (|s| + epsilon)`` sum to at most ``phi_i + 1e-10``. Kept entries
+    keep their values and so their weights; the rest become zeros, which
+    weigh nothing. The prefix sums run in sorted order and the norm in row
+    order, so the two can round apart: a row whose norm still exceeds its
+    limit is cut again under a budget lowered by that gap, which drops at
+    least one more entry, until it fits.
+    """
+    limit = phi + 1e-10
+    over = np.flatnonzero(_own_weight_norms(s, epsilon) > limit)
+    out = s.copy()
+    rows, row_limit = s[over], limit[over]
+    order = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    terms = compute_weights(rows, epsilon) * np.abs(rows)
+    prefix = np.cumsum(np.take_along_axis(terms, order, axis=1), axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(rows.shape[1]), axis=1)
+    budget = row_limit.copy()
+    while True:
+        keep = np.count_nonzero(prefix <= budget[:, None], axis=1)
+        out[over] = np.where(rank < keep[:, None], rows, 0.0)
+        norms = _own_weight_norms(out, epsilon)[over]
+        bad = norms > row_limit
+        if not bad.any():
+            return out
+        kept = np.take_along_axis(prefix, keep[bad, None] - 1, axis=1)[:, 0]
+        budget[bad] = row_limit[bad] - (norms[bad] - kept)
+
+
 def initialize(
     x: DataMatrix,
     k: int,
@@ -235,17 +276,10 @@ def initialize(
     d_ref, s_ref = refine_full_sparsity(x, dbar, sbar, delta, spec, cfg)
     d_out, s_out = order_by_sparsity(d_ref, s_ref, delta.n_courses)
     # Hand the solver a start that satisfies the row budgets under its own
-    # weights: the matrix-ball refinement does not enforce per-row budgets,
-    # and one projection is not enough (partially shrunk survivors inflate
-    # the reweighted norm). Each pass only shrinks entries, so the support
-    # contracts and the loop reaches a fixed point quickly.
-    sv = s_out.values.copy()
-    for _ in range(1000):
-        weights = compute_weights(sv, spec.epsilon)
-        norms = np.einsum("ij,ij->i", weights, np.abs(sv))
-        if np.all(norms <= spec.phi + 1e-10):
-            break
-        sv = project_weighted_l1_rows(sv, weights, spec.phi)
-    else:
-        warnings.warn("starting point did not reach row feasibility", stacklevel=2)
-    return d_out, CoefficientMatrix(sv)
+    # weights. The matrix-ball refinement does not enforce per-row budgets,
+    # so one exact row projection under the start's weights does the bulk
+    # of the shrinkage; its survivors then weigh more under their own
+    # weights, and the cut trims each row that still exceeds its budget.
+    sv = s_out.values
+    projected = project_weighted_l1_rows(sv, compute_weights(sv, spec.epsilon), spec.phi)
+    return d_out, CoefficientMatrix(_cut_to_budget(projected, spec.phi, spec.epsilon))

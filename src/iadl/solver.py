@@ -18,7 +18,6 @@ from .projections import (
     project_l2_ball,
     project_similarity_ball,
     project_weighted_l1_rows,
-    weighted_l1_norm,
 )
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
@@ -101,17 +100,6 @@ def spectral_norm(msq, tol: float = 1e-10, max_iters: int = 1000) -> float:
             return max(lam, 0.0)
         lam_prev = lam
     raise PowerIterationError(lam, max_iters)
-
-
-def lagrange_row_multiplier(a_row, w_row, phi: float, c_s: float) -> float:
-    """Multiplier of one row's sparsity constraint at the update optimum.
-
-    Diagnostic only: zero when the row is feasible, proportional to the
-    norm excess otherwise.
-    """
-    w_row = np.asarray(w_row, dtype=np.float64)
-    excess = weighted_l1_norm(a_row, w_row) - phi
-    return max(0.0, 2.0 * c_s / float(w_row @ w_row) * excess)
 
 
 def coefficient_surrogate(x, d, s, s_anchor, c_s: float) -> float:

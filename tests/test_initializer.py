@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iadl.initializer import (
     InitConfig,
+    _cut_to_budget,
     align_assisted,
     ica_decompose,
     initialize,
@@ -10,7 +15,7 @@ from iadl.initializer import (
     order_by_sparsity,
     refine_full_sparsity,
 )
-from iadl.projections import compute_weights, weighted_l1_matrix_norm
+from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_matrix_norm
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -261,3 +266,125 @@ def test_pipeline_escape_hatch_skips_ica(rng):
     assert d_out.values.shape == (t, k)
     with pytest.raises(ValueError):
         initialize(x, k, delta, spec, d0=d0, s0=None)
+
+
+# -- start feasibility -------------------------------------------------------------
+
+
+def own_weight_norms(s, epsilon):
+    return np.einsum("ij,ij->i", compute_weights(s, epsilon), np.abs(s))
+
+
+def check_projected_and_cut(s0, phi, m=0, epsilon=1e-6):
+    """Run initialize through the escape hatch with no refinement, so its
+    start is one row projection of the (sparsity-ordered) supplied maps
+    followed by the cut, and check that start against that projection."""
+    k, n = s0.shape
+    t = 3
+    x = DataMatrix(np.ones((t, n)))
+    delta = TaskTimeCourses(np.linspace(-1.0, 1.0, t)[:, None][:, :m])
+    d0 = Dictionary(np.eye(t, k) + 0.5)
+    spec = ConstraintSpec(phi=phi, c_delta=1.0, epsilon=epsilon)
+    cfg = InitConfig(refine_iters=0)
+
+    def run():
+        return initialize(x, k, delta, spec, cfg, d0=d0, s0=CoefficientMatrix(s0))[1].values
+
+    out = run()
+    np.testing.assert_array_equal(out.view(np.int64), run().view(np.int64))
+
+    _, s_ord = order_by_sparsity(Dictionary(d0.values, assisted_count=m), CoefficientMatrix(s0), m)
+    proj = project_weighted_l1_rows(s_ord.values, compute_weights(s_ord.values, epsilon), phi)
+    assert np.all(own_weight_norms(out, epsilon) <= phi + 1e-10)
+
+    # The cut only zeroes: every survivor is bit-identical to the projection.
+    kept = out != 0
+    np.testing.assert_array_equal(out[kept].view(np.int64), proj[kept].view(np.int64))
+    for i in range(k):
+        dropped = np.abs(proj[i][~kept[i] & (proj[i] != 0)])
+        if dropped.size == 0:
+            continue
+        # it drops the smallest entries, and no more than it has to
+        assert dropped.max() <= np.abs(out[i][kept[i]]).min(initial=np.inf)
+        w = compute_weights(out[i][kept[i]], epsilon)
+        next_term = dropped.max() / (dropped.max() + epsilon)
+        assert math.fsum(w * np.abs(out[i][kept[i]])) + next_term > phi[i] + 1e-10 - 1e-6
+    return out
+
+
+MAGNITUDES = st.one_of(
+    st.just(0.0),
+    # repeated picks give tied magnitudes; the middle ones sit near epsilon
+    st.sampled_from([1e-300, 1e-150, 1e-12, 9.99e-7, 1e-6, 1.01e-6, 1e-5, 0.25, 1.0, 7.0, 1e150]),
+    st.floats(min_value=1e-300, max_value=1e150, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def start_maps(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 24))
+    s0 = np.array(
+        [draw(st.lists(MAGNITUDES, min_size=n, max_size=n)) for _ in range(k)]
+    )
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k * n, max_size=k * n))
+    s0 *= np.reshape(signs, (k, n))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        s0[i] = 0.0
+    phi = np.array(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(0.0, n, allow_nan=False),
+                    st.just(float(n)),
+                    st.floats(n, 2.0 * n, allow_nan=False),
+                ),
+                min_size=k,
+                max_size=k,
+            )
+        )
+    )
+    m = draw(st.integers(0, 1))
+    return s0, phi, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(start_maps())
+def test_start_is_own_weight_feasible_on_adversarial_maps(case):
+    s0, phi, m = case
+    check_projected_and_cut(s0, phi, m)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slack=st.floats(0.0, 4.0), ties=st.booleans())
+def test_start_is_own_weight_feasible_with_budget_near_voxel_count(seed, slack, ties):
+    # With phi a few units below N = 10 000 and most terms close to 1, the
+    # cut drops only a handful of entries and its sums round at ~1e-12.
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    mags = np.exp(rng.normal(0.0, 3.0, (2, n)))
+    if ties:
+        mags = np.round(mags, 1) + 0.1
+    s0 = mags * rng.choice([-1.0, 1.0], (2, n))
+    out = check_projected_and_cut(s0, np.array([n - slack, n - 2.0 * slack]))
+    assert np.count_nonzero(out) > n
+
+
+def test_cut_lowers_budget_when_sorted_and_row_sums_round_apart():
+    # 1000 entries worth ~8.7e-13 each, then 10 000 worth exactly 1. Summed
+    # largest first the small terms vanish below half an ulp of 10 000;
+    # summed in row order they add up to ~8.7e-10, past the 1e-10 slack.
+    eps = 1e-6
+    row = np.concatenate([np.full(1000, 2.0**-60), np.full(10_000, 2.0**40)])[None, :]
+    phi = np.array([10_000.0 - 5e-11])
+    terms = compute_weights(row, eps) * np.abs(row)
+    sorted_sum = np.cumsum(np.sort(terms[0])[::-1])[-1]
+    assert sorted_sum <= phi[0] + 1e-10 < own_weight_norms(row, eps)[0]
+
+    out = _cut_to_budget(row, phi, eps)
+    assert own_weight_norms(out, eps)[0] <= phi[0] + 1e-10
+    kept = out != 0
+    np.testing.assert_array_equal(out[kept], row[kept])
+    assert np.abs(out[~kept]).max() <= np.abs(out[kept]).min()
+    assert np.count_nonzero(out[0] == 2.0**40) >= 9_999

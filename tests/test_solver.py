@@ -9,7 +9,6 @@ from iadl.solver import (
     coefficient_update,
     dictionary_surrogate,
     dictionary_update,
-    lagrange_row_multiplier,
     run_iadl,
     spectral_norm,
 )
@@ -198,12 +197,6 @@ def test_surrogates_majorize_loss(rng):
         assert dictionary_surrogate(x, s, d_anchor, d_anchor, c_d) == pytest.approx(
             anchor_loss_d, rel=1e-12
         )
-
-
-def test_lagrange_multiplier_cases():
-    assert lagrange_row_multiplier([0.1, 0.1], [1.0, 1.0], 5.0, 2.0) == 0.0
-    assert lagrange_row_multiplier([1.0], [1.0], 1.0, 3.0) == 0.0
-    assert lagrange_row_multiplier([2.0], [1.0], 1.0, 1.0) == pytest.approx(2.0)
 
 
 # -- full solve ------------------------------------------------------------------
