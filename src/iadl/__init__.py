@@ -6,7 +6,6 @@ tying selected atoms to supplied task time courses; ships with a synthetic
 benchmark generator and an evaluation harness.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .hrf import (
     ConditionSpec,
     TwoGammaParams,
@@ -23,7 +22,6 @@ from .types import (
     DataMatrix,
     Dictionary,
     SourceSet,
-    SparsityPercentage,
     TaskTimeCourses,
     phi_from_theta,
     sparsity_percentage,
@@ -42,14 +40,12 @@ __all__ = [
     "SolveTrace",
     "SolverConfig",
     "SourceSet",
-    "SparsityPercentage",
     "TaskTimeCourses",
     "TwoGammaParams",
     "canonical_hrf",
     "canonical_params",
     "estimate_c_delta",
     "initialize",
-    "kernel_backend",
     "phi_from_theta",
     "run_iadl",
     "sample_hrf",

@@ -20,9 +20,8 @@ from .projections import (
     compute_weights,
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
-    weighted_l1_matrix_norm,
 )
-from .solver import SolverConfig, _dictionary_step, _scale_constant
+from .solver import _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -166,20 +165,16 @@ def refine_full_sparsity(
     """A few solver iterations with the row-wise projection replaced by one
     projection of the whole coefficient matrix onto the ball of radius
     sum(phi); sparsifies the dense ICA maps before row budgets apply."""
-    solver_cfg = SolverConfig()
     phi_total = float(np.sum(spec.phi))
     xv = x.values
     dv = dbar.values.copy()
     sv = sbar.values.copy()
     for _ in range(cfg.refine_iters):
-        gram = dv.T @ dv
-        c_s = _scale_constant(gram, solver_cfg)
-        a = (dv.T @ xv + (c_s * np.eye(dv.shape[1]) - gram) @ sv) / c_s
-        w = compute_weights(sv, spec.epsilon)
-        if weighted_l1_matrix_norm(a, w) > phi_total:
-            a = project_weighted_l1_matrix_ball(a, w, phi_total)
-        sv = a
-        dv, _ = _dictionary_step(xv, sv, dv, delta.values, spec, solver_cfg)
+        sv, _ = _coefficient_step(
+            xv, dv, sv, spec.epsilon,
+            lambda a, w: project_weighted_l1_matrix_ball(a, w, phi_total),
+        )
+        dv, _ = _dictionary_step(xv, sv, dv, delta.values, spec)
     return Dictionary(dv, assisted_count=delta.n_courses), CoefficientMatrix(sv)
 
 
@@ -258,7 +253,7 @@ def initialize(
     if (d0 is None) != (s0 is None):
         raise ValueError("supply both d0 and s0 or neither")
     if d0 is not None:
-        if d0.values.shape != (x.n_times, k) or s0.values.shape[0] != k:
+        if d0.values.shape != (x.n_times, k) or s0.values.shape != (k, x.n_voxels):
             raise ValueError("supplied starting point has wrong shape")
         dbar, sbar = Dictionary(d0.values, assisted_count=delta.n_courses), s0
     else:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import project_rows as _project_rows_kernel
+# Rows whose weight ratio max/min exceeds this take the bisection path: the
+# breakpoint scan's suffix sums lose the small-weight terms there.
+_DEGENERATE_RATIO = 1e12
 
 
 def compute_weights(x, epsilon: float) -> np.ndarray:
@@ -45,13 +47,95 @@ def _check_weights(w):
         raise ValueError("weights must be strictly positive and finite")
 
 
+def _bisect_gamma(mags, w, phi, iters=128):
+    # Monotone decreasing g(gamma) = sum w * max(mags - gamma * w, 0).
+    lo = 0.0
+    hi = float(np.max(mags / w))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(w * np.maximum(mags - mid * w, 0.0)) > phi:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _project_block(v, w, phi):
+    """Project rows known to violate their constraint (breakpoint method)."""
+    n_rows = v.shape[0]
+    mags = np.abs(v)
+    ratios = mags / w
+    order = np.argsort(ratios, axis=1, kind="stable")
+    r_sorted = np.take_along_axis(ratios, order, axis=1)
+    wm = np.take_along_axis(w * mags, order, axis=1)
+    w2 = np.take_along_axis(w * w, order, axis=1)
+
+    # Suffix sums over the sorted breakpoints; summing from the small end
+    # keeps each suffix accurate relative to its own magnitude.
+    suf_a = np.cumsum(wm[:, ::-1], axis=1)[:, ::-1]
+    suf_b = np.cumsum(w2[:, ::-1], axis=1)[:, ::-1]
+    zeros = np.zeros((n_rows, 1))
+    a_after = np.concatenate([suf_a[:, 1:], zeros], axis=1)
+    b_after = np.concatenate([suf_b[:, 1:], zeros], axis=1)
+
+    # g evaluated at each breakpoint; first index where it drops to phi or
+    # below brackets the active interval (the last breakpoint gives g = 0,
+    # so a hit always exists).
+    g = a_after - r_sorted * b_after
+    k = np.argmax(g <= phi[:, None], axis=1)
+    rows = np.arange(n_rows)
+    gamma = (suf_a[rows, k] - phi) / suf_b[rows, k]
+
+    part = mags - gamma[:, None] * w
+    return np.where(part > 0.0, np.sign(v) * part, 0.0)
+
+
+def _project_rows(v, w, phi):
+    """Row-wise projection on validated inputs: float64 arrays, strictly
+    positive weights, non-negative radii."""
+    out = np.array(v, dtype=np.float64, copy=True)
+    mags = np.abs(v)
+    wl1 = np.einsum("ij,ij->i", w, mags)
+    todo = np.flatnonzero(wl1 > phi)
+    if todo.size == 0:
+        return out
+
+    zero_radius = todo[phi[todo] == 0.0]
+    out[zero_radius] = 0.0
+    todo = todo[phi[todo] > 0.0]
+    if todo.size == 0:
+        return out
+
+    cond = np.max(w[todo], axis=1) / np.min(w[todo], axis=1)
+    degenerate = cond > _DEGENERATE_RATIO
+
+    easy = todo[~degenerate]
+    if easy.size:
+        out[easy] = _project_block(v[easy], w[easy], phi[easy])
+
+    for i in todo[degenerate]:
+        gamma = _bisect_gamma(mags[i], w[i], phi[i])
+        part = mags[i] - gamma * w[i]
+        out[i] = np.where(part > 0.0, np.sign(v[i]) * part, 0.0)
+
+    # Survivors |v| - gamma * w keep only the low bits of |v| when the
+    # weights dwarf the radius, so a row can round past phi by far more than
+    # an ulp of phi; shrink such rows back onto their sphere.
+    norms = np.einsum("ij,ij->i", w[todo], np.abs(out[todo]))
+    over = norms > phi[todo]
+    out[todo[over]] *= (phi[todo[over]] / norms[over])[:, None]
+    return out
+
+
 def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     """Project each row of ``v`` onto the weighted-l1 ball of radius phi[i].
 
     Rows already satisfying their constraint pass through unchanged; the
     others are soft-thresholded at the smallest level that makes the
     constraint active. Signs are preserved and shrunk entries become exact
-    zeros.
+    zeros. The threshold comes from one sorted scan of the breakpoints
+    ``|v| / w``; rows whose weights span more than twelve orders of
+    magnitude bisect on it instead.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -63,7 +147,7 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     if np.any(phi < 0):
         raise ValueError("ball radius must be non-negative")
     _check_weights(w)
-    return _project_rows_kernel(v, w, phi)
+    return _project_rows(v, w, phi)
 
 
 def project_weighted_l1_ball(v, w, phi: float) -> np.ndarray:

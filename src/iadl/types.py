@@ -164,24 +164,6 @@ class ConstraintSpec:
 
 
 @dataclass(frozen=True)
-class SparsityPercentage:
-    """Proportion of zero entries of a vector, in percent."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 100.0:
-            raise ValueError(f"sparsity percentage {self.theta} outside [0, 100]")
-
-    @classmethod
-    def of_vector(cls, v, threshold: float = 0.0) -> "SparsityPercentage":
-        return cls(sparsity_percentage(v, threshold=threshold))
-
-    def budget(self, n_voxels: int) -> float:
-        return phi_from_theta(self.theta, n_voxels)
-
-
-@dataclass(frozen=True)
 class SourceSet:
     """Ground-truth bundle of (time course, spatial map) pairs."""
 

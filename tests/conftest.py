@@ -6,16 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(20240817)
 
-
-def both_kernels():
-    """All available projection kernel implementations, for parity tests."""
-    from iadl._kernels import _wl1_numpy
-
-    impls = [("numpy", _wl1_numpy.project_rows)]
-    try:
-        from iadl._kernels import _wl1
-
-        impls.append(("compiled", _wl1.project_rows))
-    except ImportError:
-        pass
-    return impls

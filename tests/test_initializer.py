@@ -266,6 +266,10 @@ def test_pipeline_escape_hatch_skips_ica(rng):
     assert d_out.values.shape == (t, k)
     with pytest.raises(ValueError):
         initialize(x, k, delta, spec, d0=d0, s0=None)
+    narrow = CoefficientMatrix(rng.standard_normal((k, n - 5)))
+    for refine_iters in (0, 2):
+        with pytest.raises(ValueError, match="wrong shape"):
+            initialize(x, k, delta, spec, InitConfig(refine_iters=refine_iters), d0=d0, s0=narrow)
 
 
 # -- start feasibility -------------------------------------------------------------

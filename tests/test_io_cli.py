@@ -144,6 +144,13 @@ def test_config_rejects_unknown_recipe(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_removed_solver_key(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("k: 3\nsparsity:\n  theta: [95, 95, 95]\nsolver:\n  spectral_safety: 1.05\n")
+    with pytest.raises(ValueError, match="spectral_safety"):
+        load_config(path)
+
+
 def test_config_phi_path(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text("k: 2\nsparsity:\n  phi: [12, 30]\n")

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from iadl.projections import compute_weights, weighted_l1_norm
+from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
 from iadl.solver import (
-    PowerIterationError,
     SolverConfig,
+    _coefficient_step,
+    _dictionary_step,
     coefficient_surrogate,
-    coefficient_update,
     dictionary_surrogate,
-    dictionary_update,
     run_iadl,
-    spectral_norm,
 )
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
@@ -44,40 +42,19 @@ def make_instance(rng, t=12, n=30, k=4, m=2, phi=None, noise=0.05, budget_factor
     return x, d0, s0, delta, spec
 
 
-# -- spectral norm -------------------------------------------------------------
+def coefficient_update(x, d, s, spec):
+    """One majorized coefficient step under the solver's row-ball projection."""
+    out, _ = _coefficient_step(
+        x.values, d.values, s.values, spec.epsilon,
+        lambda a, w: project_weighted_l1_rows(a, w, spec.phi),
+    )
+    return CoefficientMatrix(out)
 
 
-def test_spectral_norm_identity():
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
-
-
-def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([1.0, 4.0, 9.0])) == pytest.approx(9.0)
-
-
-def test_spectral_norm_matches_eigh_oracle(rng):
-    for _ in range(20):
-        a = rng.standard_normal((6, 10))
-        gram = a @ a.T
-        assert spectral_norm(gram) == pytest.approx(
-            oracle_spectral_norm(gram), rel=1e-6
-        )
-
-
-def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-
-
-def test_spectral_norm_nonconvergence_carries_estimate():
-    m = np.diag([1.0, 1.0 - 1e-5])
-    with pytest.raises(PowerIterationError) as err:
-        spectral_norm(m, tol=1e-16, max_iters=3)
-    assert err.value.estimate == pytest.approx(1.0, abs=1e-3)
-
-
-def test_spectral_norm_rejects_non_square():
-    with pytest.raises(ValueError):
-        spectral_norm(np.ones((2, 3)))
+def dictionary_update(x, s, d, delta, spec):
+    """One majorized dictionary step with its column projections."""
+    out, _ = _dictionary_step(x.values, s.values, d.values, delta.values, spec)
+    return Dictionary(out, assisted_count=delta.n_courses)
 
 
 # -- coefficient update --------------------------------------------------------
@@ -262,6 +239,41 @@ def test_run_iadl_monotone_objective_and_feasible(rng):
         obj = res.trace.objective
         assert np.all(obj[1:] <= obj[:-1] * (1 + 1e-9))
         assert np.all(res.trace.constraint_violation_max <= 1e-9)
+
+
+def test_run_iadl_zero_start_and_zero_atoms_take_the_scale_floor(rng):
+    # From an all-zero S the weights are 1/epsilon.
+    # - With an all-zero start dictionary both Gram matrices of the first
+    #   iteration are exactly zero, so only the scale floor keeps the steps
+    #   finite; the similarity ball then moves the assisted atom off zero.
+    # - With one all-zero free atom and epsilon = 1e-9, each row's l1 norm is
+    #   at most phi * epsilon after the first step, so trace(S S^T) is far
+    #   below the floor for several iterations; the weights also dwarf the
+    #   budgets, where the row projection's survivors lose their low bits.
+    # Zero free atoms and their map rows stay exactly zero throughout.
+    t, n, k, m = 10, 40, 3, 1
+    x, d0, _, delta, _ = make_instance(rng, t=t, n=n, k=k, m=m)
+    one_zero_atom = d0.values.copy()
+    one_zero_atom[:, 2] = 0.0
+    starts = [(np.zeros((t, k)), 1e-6, 1.0), (one_zero_atom, 1e-9, 0.9)]
+    cfg = SolverConfig(max_iters=60, rel_obj_tol=0.0)
+    start_obj = float(np.linalg.norm(x.values) ** 2)
+    for dv, epsilon, drop in starts:
+        spec = ConstraintSpec(phi=np.full(k, 3.0), c_delta=0.5, c_d=1.0, epsilon=epsilon)
+        res = run_iadl(
+            x, Dictionary(dv, m), CoefficientMatrix(np.zeros((k, n))), delta, spec, cfg
+        )
+        obj = res.trace.objective
+        assert np.all(np.isfinite(obj))
+        assert np.all(np.isfinite(res.dictionary.values))
+        assert np.all(np.isfinite(res.coefficients.values))
+        assert obj[0] <= start_obj * (1 + 1e-9)
+        assert np.all(obj[1:] <= obj[:-1] * (1 + 1e-9))
+        assert np.all(res.trace.constraint_violation_max <= 1e-9)
+        assert obj[-1] < drop * start_obj
+        zero = np.flatnonzero(~dv[:, m:].any(axis=0)) + m
+        np.testing.assert_array_equal(res.dictionary.values[:, zero], 0.0)
+        np.testing.assert_array_equal(res.coefficients.values[zero], 0.0)
 
 
 def test_run_iadl_permutation_equivariance(rng):
