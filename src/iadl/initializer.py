@@ -174,7 +174,7 @@ def refine_full_sparsity(
             xv, dv, sv, spec.epsilon,
             lambda a, w: project_weighted_l1_matrix_ball(a, w, phi_total),
         )
-        dv, _ = _dictionary_step(xv, sv, dv, delta.values, spec)
+        dv = _dictionary_step(xv, sv, dv, delta.values, spec)[0]
     return Dictionary(dv, assisted_count=delta.n_courses), CoefficientMatrix(sv)
 
 

@@ -4,7 +4,9 @@ One iteration updates the coefficient matrix through a scaled gradient step
 followed by row-wise weighted-l1 ball projections, then the dictionary
 through the mirrored step with similarity/norm ball projections on its
 columns. Both steps minimize a convex quadratic surrogate of the Frobenius
-loss, which makes the recorded objective non-increasing.
+loss, which makes the recorded objective non-increasing. The recorded loss
+is read off the products X S^T and S S^T that the dictionary step already
+forms, and evaluated directly only when it is too small for that expansion.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ _SCALE_MARGIN = 1.01
 # Scaling constants are floored here when a factor matrix is all-zero, so the
 # update degenerates to a copy instead of dividing by zero.
 _SCALE_FLOOR = 1e-12
+
+# The loss read off the dictionary step's products cancels against ||X||^2,
+# leaving an absolute error near 2e-15 ||X||^2 (measured on the mini and full
+# recipes at 10 to 120 dB). Below this share of ||X||^2, where that error
+# would pass 2e-11 relative, the loss is evaluated directly instead.
+_EXPANDED_LOSS_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,16 @@ def _coefficient_step(xv, dv, sv, epsilon: float, project):
 
 
 def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
+    """One majorized dictionary step with its column projections.
+
+    Returns the new dictionary, its worst ball violation, and the products
+    X S^T and S S^T it was built from, which give the loss at (D_new, S).
+    """
     m = deltav.shape[1]
+    xs = xv @ sv.T
     gram = sv @ sv.T
     c_d = _scale_constant(gram)
-    b = (xv @ sv.T + dv @ (c_d * np.eye(sv.shape[0]) - gram)) / c_d
+    b = (xs + dv @ (c_d * np.eye(sv.shape[0]) - gram)) / c_d
     d_new = np.empty_like(b)
     violation = 0.0
     for i in range(b.shape[1]):
@@ -121,7 +135,17 @@ def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
             excess = float(col @ col) - spec.c_d
         d_new[:, i] = col
         violation = max(violation, excess)
-    return d_new, max(violation, 0.0)
+    return d_new, max(violation, 0.0), xs, gram
+
+
+def _loss(xv, x_sq: float, dv, sv, xs, gram) -> float:
+    """||X - DS||^2 as ||X||^2 - 2<D, X S^T> + <D^T D, S S^T>, from the
+    products ``xs = X S^T`` and ``gram = S S^T``; directly when that
+    expansion is too small to keep its digits."""
+    loss = x_sq - 2.0 * float(np.vdot(dv, xs)) + float(np.vdot(dv.T @ dv, gram))
+    if loss < _EXPANDED_LOSS_FLOOR * x_sq:
+        return float(np.linalg.norm(xv - dv @ sv) ** 2)
+    return loss
 
 
 def _check_shapes(x, dictionary, coefficients, spec, delta=None):
@@ -157,7 +181,11 @@ def run_iadl(
     settles or the iteration budget runs out.
 
     The recorded objective is the raw Frobenius loss after each full
-    iteration; constraint penalties never enter it.
+    iteration; constraint penalties never enter it. It is computed as
+    ||X||^2 - 2<D, X S^T> + <D^T D, S S^T> from the dictionary step's
+    products, with ||X||^2 taken once per solve, and directly as
+    ||X - DS||^2 when it falls below a small share of ||X||^2, where the
+    expansion cancels.
     """
     _check_shapes(x, d0, s0, spec, delta)
     xv = x.values
@@ -168,6 +196,7 @@ def run_iadl(
 
     objective = []
     violations = []
+    x_sq = float(np.vdot(xv, xv))
     prev_obj = float(np.linalg.norm(xv - dv @ sv) ** 2)
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
@@ -176,8 +205,8 @@ def run_iadl(
         )
         wl1 = np.einsum("ij,ij->i", weights, np.abs(sv))
         viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
-        dv, viol_d = _dictionary_step(xv, sv, dv, deltav, spec)
-        obj = float(np.linalg.norm(xv - dv @ sv) ** 2)
+        dv, viol_d, xs, gram = _dictionary_step(xv, sv, dv, deltav, spec)
+        obj = _loss(xv, x_sq, dv, sv, xs, gram)
         objective.append(obj)
         violations.append(max(viol_s, viol_d))
         if abs(prev_obj - obj) / max(prev_obj, 1e-30) < cfg.rel_obj_tol:

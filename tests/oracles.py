@@ -30,6 +30,32 @@ def oracle_project(v, w, phi):
     return np.where(part > 0, np.sign(v) * part, 0.0)
 
 
+def unfiltered_breakpoint_scan(v, w, phi):
+    """Row projection by one sorted scan of all breakpoints ``|v| / w``.
+
+    The scan without the Michelot filter, kept as the bit-exact reference
+    for the filtered one: rows must violate their radius, phi > 0, and the
+    weights must stay within the breakpoint path's ratio limit.
+    """
+    v, w, phi = (np.asarray(a, dtype=float) for a in (v, w, phi))
+    mags = np.abs(v)
+    ratios = mags / w
+    order = np.argsort(ratios, axis=1, kind="stable")
+    r_sorted = np.take_along_axis(ratios, order, axis=1)
+    wm = np.take_along_axis(w * mags, order, axis=1)
+    w2 = np.take_along_axis(w * w, order, axis=1)
+    suf_a = np.cumsum(wm[:, ::-1], axis=1)[:, ::-1]
+    suf_b = np.cumsum(w2[:, ::-1], axis=1)[:, ::-1]
+    zeros = np.zeros((v.shape[0], 1))
+    a_after = np.concatenate([suf_a[:, 1:], zeros], axis=1)
+    b_after = np.concatenate([suf_b[:, 1:], zeros], axis=1)
+    k = np.argmax(a_after - r_sorted * b_after <= phi[:, None], axis=1)
+    rows = np.arange(v.shape[0])
+    gamma = (suf_a[rows, k] - phi) / suf_b[rows, k]
+    part = mags - gamma[:, None] * w
+    return np.where(part > 0.0, np.sign(v) * part, 0.0)
+
+
 def oracle_spectral_norm(m):
     """Largest eigenvalue through a full symmetric eigendecomposition."""
     return float(np.max(np.linalg.eigvalsh(np.asarray(m, dtype=float))))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iadl import projections
 from iadl.projections import (
@@ -13,7 +15,12 @@ from iadl.projections import (
     weighted_l1_norm,
 )
 
-from oracles import oracle_gamma_bisection, oracle_project, random_feasible_points
+from oracles import (
+    oracle_gamma_bisection,
+    oracle_project,
+    random_feasible_points,
+    unfiltered_breakpoint_scan,
+)
 
 
 # -- weights and norms -------------------------------------------------------
@@ -223,6 +230,111 @@ def test_projection_degenerate_weights_use_bisection(rng, monkeypatch):
         ref = oracle_project(v[i], w[i], phi[i])
         np.testing.assert_allclose(out[i], ref, atol=1e-6)
         assert weighted_l1_norm(out[i], w[i]) <= phi[i] * (1 + 1e-9)
+
+
+# Entry magnitudes for the property test. Weights stay within [1e-2, 1e2]
+# (or powers of two in [2^-6, 2^6]), so w |v| is a normal number throughout.
+MAGNITUDES = st.one_of(
+    st.sampled_from([1e-300, 1e-150, 1e-12, 1.0, 7.0, 1e150]),
+    st.floats(min_value=1e-300, max_value=1e150),
+)
+# Radius as a share of the row's own weighted norm: phi = 0, phi close to 0
+# and phi close to the norm (or the norm itself) are all drawn often.
+RADIUS_SHARES = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+ROW_KINDS = ("plain", "ties", "all_survive", "one_survives", "degenerate")
+
+
+@st.composite
+def adversarial_row(draw, n):
+    """One row (v, w, phi) of a kind from ROW_KINDS.
+
+    - ties: power-of-two weights and at most three breakpoint levels, so
+      |v| / w ties exactly;
+    - all_survive: one breakpoint level, so every entry is active and the
+      first Michelot pass already lands on the exact threshold;
+    - one_survives: one entry's breakpoint far above the rest, with phi below
+      what that entry alone carries at the next breakpoint;
+    - degenerate: one weight 1e15, a weight ratio above 1e12 (bisection);
+      n = 1 leaves it a plain row.
+    """
+    kind = draw(st.sampled_from(ROW_KINDS))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    if kind in ("ties", "all_survive"):
+        w = 2.0 ** np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+        levels = draw(st.lists(MAGNITUDES, min_size=1, max_size=1 if kind == "all_survive" else 3))
+        mags = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))) * w
+    else:
+        w = np.array(draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n)))
+        mags = np.array(draw(st.lists(MAGNITUDES, min_size=n, max_size=n)))
+    share = draw(RADIUS_SHARES)
+    phi = share * float(np.sum(w * mags))
+    j = draw(st.integers(0, n - 1))
+    if kind == "degenerate":
+        # the floor keeps that entry's breakpoint a normal number
+        w[j] = 1e15
+        mags[j] = max(mags[j], 1e-280)
+        phi = share * float(np.sum(w * mags))
+    elif kind == "one_survives" and n > 1:
+        rest = np.delete(mags / w, j).max()
+        mags[j] = rest * w[j] * draw(st.floats(1.5, 1e6))
+        phi = share * w[j] * (mags[j] - rest * w[j])
+    return signs * mags, w, phi
+
+
+@st.composite
+def adversarial_blocks(draw):
+    n = draw(st.one_of(st.just(1), st.integers(1, 24)))
+    rows = draw(st.lists(adversarial_row(n), min_size=1, max_size=5))
+    v, w, phi = (np.array(part) for part in zip(*rows))
+    return v, w, phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversarial_blocks())
+def test_projection_matches_oracle_on_adversarial_rows(case):
+    # the filtered breakpoint scan against the bisection oracle, one block
+    # mixing row kinds (and so the scan with the bisection path)
+    v, w, phi = case
+    out = project_weighted_l1_rows(v, w, phi)
+    for i in range(v.shape[0]):
+        own = float(np.sum(w[i] * np.abs(v[i])))
+        got = float(np.sum(w[i] * np.abs(out[i])))
+        ref = oracle_project(v[i], w[i], phi[i])
+        assert np.all((out[i] == 0.0) | (np.sign(out[i]) == np.sign(v[i])))
+        assert got <= phi[i] * (1 + 1e-12)
+        # errors in the threshold move the weighted norm by at most a few
+        # n * eps of the row's own norm
+        assert float(np.sum(w[i] * np.abs(out[i] - ref))) <= 1e-10 * own
+        if own > phi[i]:
+            assert abs(got - phi[i]) <= 1e-10 * own
+
+    # the filter drops only entries that precede every survivor in the
+    # sorted breakpoints, so the scan's threshold is unchanged bit for bit
+    wl1 = np.einsum("ij,ij->i", w, np.abs(v))
+    scanned = (wl1 > phi) & (phi > 0) & (w.max(axis=1) / w.min(axis=1) <= 1e12)
+    np.testing.assert_array_equal(
+        projections._project_block(v[scanned], w[scanned], phi[scanned]),
+        unfiltered_breakpoint_scan(v[scanned], w[scanned], phi[scanned]),
+    )
+
+
+def test_filtered_scan_is_bit_identical_on_solver_like_rows(rng):
+    # rows as the solver builds them: a sparse previous iterate gives the
+    # weights, a gradient step moves every entry, and atlas budgets cut the
+    # support back
+    for _ in range(20):
+        k, n = 8, 1600
+        prev = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.15)
+        v = prev + 0.05 * rng.standard_normal((k, n))
+        w = compute_weights(prev, 1e-6)
+        phi = n * (1.0 - rng.uniform(70.0, 99.0, k) / 100.0)
+        assert np.all(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
+        np.testing.assert_array_equal(
+            projections._project_block(v, w, phi), unfiltered_breakpoint_scan(v, w, phi)
+        )
 
 
 def test_rowwise_projection_matches_vector_loop(rng):

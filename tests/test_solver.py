@@ -3,6 +3,7 @@ import pytest
 
 from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
 from iadl.solver import (
+    _EXPANDED_LOSS_FLOOR,
     SolverConfig,
     _coefficient_step,
     _dictionary_step,
@@ -10,6 +11,7 @@ from iadl.solver import (
     dictionary_surrogate,
     run_iadl,
 )
+from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 from oracles import oracle_spectral_norm, random_feasible_points
@@ -53,7 +55,7 @@ def coefficient_update(x, d, s, spec):
 
 def dictionary_update(x, s, d, delta, spec):
     """One majorized dictionary step with its column projections."""
-    out, _ = _dictionary_step(x.values, s.values, d.values, delta.values, spec)
+    out = _dictionary_step(x.values, s.values, d.values, delta.values, spec)[0]
     return Dictionary(out, assisted_count=delta.n_courses)
 
 
@@ -274,6 +276,41 @@ def test_run_iadl_zero_start_and_zero_atoms_take_the_scale_floor(rng):
         zero = np.flatnonzero(~dv[:, m:].any(axis=0)) + m
         np.testing.assert_array_equal(res.dictionary.values[:, zero], 0.0)
         np.testing.assert_array_equal(res.coefficients.values[zero], 0.0)
+
+
+def _exact_mini_start(rng):
+    """Noise-free mini data with its own factors as the start: unit atoms,
+    assisted ones first, and budgets that leave the maps feasible."""
+    ds = mini_benchmark(rng, snr_db=np.inf)
+    order = list(ds.assisted_indices)
+    order += [j for j in range(ds.truth.time_courses.shape[1]) if j not in order]
+    d = ds.truth.time_courses[:, order]
+    s = ds.truth.spatial_maps[order]
+    scale = np.linalg.norm(d, axis=0)
+    d, s = d / scale, s * scale[:, None]
+    m = len(ds.assisted_indices)
+    spec = ConstraintSpec(phi=np.full(len(order), float(s.shape[1])), c_delta=0.1, c_d=1.0)
+    return ds.x, Dictionary(d, m), CoefficientMatrix(s), TaskTimeCourses(d[:, :m]), spec
+
+
+def test_run_iadl_objective_equals_residual_of_returned_factors(rng):
+    # The loss is read off the dictionary step's products as
+    # ||X||^2 - 2<D, XS^T> + <D^T D, SS^T>. Noisy data keeps it far above
+    # the cancellation floor; noise-free data from an exact factorization
+    # sits far below it and takes the direct evaluation.
+    noisy = make_instance(rng, t=20, n=80, k=4, m=2)
+    exact = _exact_mini_start(rng)
+    for (x, d0, s0, delta, spec), above_floor in ((noisy, True), (exact, False)):
+        x_sq = float(np.sum(x.values**2))
+        for iters in (1, 2, 7, 25):
+            cfg = SolverConfig(max_iters=iters, rel_obj_tol=0.0)
+            res = run_iadl(x, d0, s0, delta, spec, cfg)
+            direct = float(
+                np.sum((x.values - res.dictionary.values @ res.coefficients.values) ** 2)
+            )
+            last = res.trace.objective[-1]
+            assert (last > _EXPANDED_LOSS_FLOOR * x_sq) == above_floor
+            assert last == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
 def test_run_iadl_permutation_equivariance(rng):
