@@ -204,14 +204,16 @@ def cmd_evaluate(args) -> int:
     iadl_io.verify_manifest(truth_dir)
     iadl_io.verify_manifest(fit_dir)
 
-    truth_manifest = iadl_io.read_manifest(truth_dir)
-    resolved = json.loads((fit_dir / "resolved.json").read_text())
-    if resolved["data_checksum"] != truth_manifest["checksums"]["x.iadl"]:
-        raise ValueError(
-            "fit was produced from different data than this truth bundle"
-        )
+    truth_checksums = iadl_io.read_manifest(truth_dir)["checksums"]
+    if "x.iadl" not in truth_checksums:
+        raise ValueError(f"{truth_dir / 'manifest.json'}: key 'checksums' lists no 'x.iadl'")
+    resolved = iadl_io.read_json_object(
+        fit_dir / "resolved.json", ["data_checksum", "assisted_count"]
+    )
+    if resolved["data_checksum"] != truth_checksums["x.iadl"]:
+        raise ValueError("fit was produced from different data than this truth bundle")
 
-    meta = json.loads((truth_dir / "meta.json").read_text())
+    meta = iadl_io.read_json_object(truth_dir / "meta.json", ["kinds", "assisted_indices"])
     truth = SourceSet(
         time_courses=iadl_io.load_matrix(truth_dir / "true_courses.iadl"),
         spatial_maps=iadl_io.load_matrix(truth_dir / "true_maps.iadl"),

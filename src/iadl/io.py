@@ -22,6 +22,7 @@ import yaml
 from .hrf import ConditionSpec, TwoGammaParams, default_alternate_hrf, sample_hrf
 from .initializer import InitConfig
 from .solver import SolverConfig
+from .types import phi_from_theta
 from . import synthgen
 
 MAGIC = b"IADL"
@@ -91,19 +92,37 @@ def write_manifest(directory, filenames, extra=None) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def read_json_object(path, keys=()) -> dict:
+    """Parse a JSON object file; a file that is not one, or lacks one of
+    ``keys``, fails with a ValueError naming the file and the key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not valid JSON ({err})") from err
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def read_manifest(directory) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest in {directory}")
-    return json.loads(path.read_text())
+    manifest = read_json_object(path, ["checksums"])
+    checksums = manifest["checksums"]
+    if not isinstance(checksums, dict) or not all(isinstance(v, str) for v in checksums.values()):
+        raise ValueError(f"{path}: key 'checksums' must map file names to digests")
+    return manifest
 
 
 def verify_manifest(directory) -> None:
     """Recompute every checksum and fail loudly on drift."""
     manifest = read_manifest(directory)
     for name, recorded in manifest["checksums"].items():
-        actual = sha256_file(Path(directory) / name)
-        if actual != recorded:
+        if not (Path(directory) / name).is_file():
+            raise ValueError(f"{directory}/manifest.json: listed file {name!r} is missing")
+        if sha256_file(Path(directory) / name) != recorded:
             raise ValueError(f"{name}: checksum mismatch (artifact modified?)")
 
 
@@ -202,8 +221,7 @@ class ExperimentConfig:
             if phis.size != self.k:
                 raise ValueError(f"sparsity.phi needs exactly {self.k} entries")
             return phis
-        thetas = self.resolve_thetas()
-        return n_voxels * (1.0 - thetas / 100.0)
+        return np.array([phi_from_theta(t, n_voxels) for t in self.resolve_thetas()])
 
 
 def _section(raw, key, expected_type=dict):

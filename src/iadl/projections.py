@@ -29,21 +29,13 @@ def compute_weights(x, epsilon: float) -> np.ndarray:
 
 
 def weighted_l1_norm(x, w) -> float:
-    """``sum_i w_i |x_i|`` for vectors of equal length."""
+    """``sum w |x|`` over arrays of equal shape: a vector's weighted-l1 norm,
+    or a matrix's ``sum_ij w_ij |x_ij|``."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.shape != w.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {w.shape}")
     return float(np.sum(w * np.abs(x)))
-
-
-def weighted_l1_matrix_norm(s, w) -> float:
-    """Matrix generalization ``sum_ij w_ij |s_ij|`` (trace of |S| W^T)."""
-    s = np.asarray(s, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if s.shape != w.shape:
-        raise ValueError(f"shape mismatch: {s.shape} vs {w.shape}")
-    return float(np.sum(w * np.abs(s)))
 
 
 def _check_weights(w):
@@ -193,25 +185,26 @@ def project_weighted_l1_matrix_ball(s, w, phi_total: float) -> np.ndarray:
     return flat.reshape(s.shape)
 
 
-def project_similarity_ball(b, delta, c_delta: float) -> np.ndarray:
-    """Project ``b`` onto ``{x : ||x - delta||^2 <= c_delta}``."""
+def project_similarity_ball(b, delta, c_delta) -> np.ndarray:
+    """Project each row of ``b`` onto ``{x : ||x - delta_i||^2 <= c_i}``.
+
+    ``b`` and ``delta`` share one shape; a vector is a single row. The radius
+    ``c_delta`` is one number for every row or one per row. A zero centre
+    makes the ball a norm bound.
+    """
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if b.shape != delta.shape:
+    if b.shape != delta.shape or b.ndim not in (1, 2):
         raise ValueError(f"shape mismatch: {b.shape} vs {delta.shape}")
-    if c_delta < 0:
+    rows, centres = np.atleast_2d(b), np.atleast_2d(delta)
+    radii = np.asarray(c_delta, dtype=np.float64)
+    if radii.ndim > 1 or radii.size not in (1, rows.shape[0]):
+        raise ValueError(f"need one radius or one per row, got {radii.shape}")
+    if np.any(radii < 0):
         raise ValueError("similarity radius must be non-negative")
-    diff = b - delta
-    dist_sq = float(diff @ diff)
-    if dist_sq <= c_delta:
-        return b.copy()
-    if dist_sq == 0.0:
-        return delta.copy()
-    return delta + np.sqrt(c_delta / dist_sq) * diff
-
-
-def project_l2_ball(b, c_d: float) -> np.ndarray:
-    """Project ``b`` onto ``{x : ||x||^2 <= c_d}``."""
-    if c_d <= 0:
-        raise ValueError("norm bound must be positive")
-    return project_similarity_ball(b, np.zeros_like(np.asarray(b, dtype=np.float64)), c_d)
+    diff = rows - centres
+    # One BLAS dot per row, so a row rounds as the same vector would alone.
+    dist_sq = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    far = dist_sq > radii
+    scale = np.sqrt(radii / np.where(far, dist_sq, 1.0))
+    return np.where(far[:, None], centres + scale[:, None] * diff, rows).reshape(b.shape)

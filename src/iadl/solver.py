@@ -1,12 +1,13 @@
 """Alternating block-majorized minimization with closed-form updates.
 
-One iteration updates the coefficient matrix through a scaled gradient step
-followed by row-wise weighted-l1 ball projections, then the dictionary
-through the mirrored step with similarity/norm ball projections on its
-columns. Both steps minimize a convex quadratic surrogate of the Frobenius
-loss, which makes the recorded objective non-increasing. The recorded loss
-is read off the products X S^T and S S^T that the dictionary step already
-forms, and evaluated directly only when it is too small for that expansion.
+Both blocks take the one step of ``_block_step``: a scaled gradient step on
+a quadratic majorizer of the Frobenius loss, then a projection. The
+coefficient block steps S against D and projects each row onto its
+weighted-l1 ball; the dictionary block takes the same step on the
+transposed problem, D^T against S^T, and projects every atom onto its ball
+in one call. So the recorded objective never increases. It is read off the
+products X S^T and S S^T that the dictionary step forms, and evaluated
+directly only when it is too small for that expansion.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projections import (
-    compute_weights,
-    project_l2_ball,
-    project_similarity_ball,
-    project_weighted_l1_rows,
-)
+from .projections import compute_weights, project_similarity_ball, project_weighted_l1_rows
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 # Step constants are the top eigenvalue of the block's Gram matrix times this
@@ -95,47 +91,40 @@ def _scale_constant(gram) -> float:
     return max(_SCALE_MARGIN * float(np.linalg.eigvalsh(gram)[-1]), _SCALE_FLOOR)
 
 
-def _coefficient_step(xv, dv, sv, epsilon: float, project):
-    """One majorized coefficient step: the gradient step of the surrogate,
-    then ``project(a, weights)`` onto the caller's weighted-l1 ball.
+def _block_step(cross, gram, anchor, project):
+    """One majorized block step: the scaled gradient step
+    ``(cross + (cI - gram) @ anchor) / c`` from ``anchor``, with ``c`` the
+    step constant of ``gram``, handed to ``project``."""
+    c = _scale_constant(gram)
+    return project((cross + (c * np.eye(gram.shape[0]) - gram) @ anchor) / c)
 
-    Returns the projected matrix and the weights it was projected under.
-    """
-    gram = dv.T @ dv
-    c_s = _scale_constant(gram)
-    a = (dv.T @ xv + (c_s * np.eye(dv.shape[1]) - gram) @ sv) / c_s
+
+def _coefficient_step(xv, dv, sv, epsilon: float, project):
+    """The block step of S against D, then ``project(a, weights)`` onto the
+    caller's weighted-l1 ball; returns the result and those weights."""
     # Weights come from the surrogate anchor (the previous iterate), which
     # keeps the anchor feasible for the ball it defines; that is what makes
     # the objective non-increasing. Reweighting from the post-gradient
     # matrix moves the constraint set away from the anchor and breaks
     # monotonicity.
     weights = compute_weights(sv, epsilon)
-    return project(a, weights), weights
+    return _block_step(dv.T @ xv, dv.T @ dv, sv, lambda a: project(a, weights)), weights
 
 
 def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
-    """One majorized dictionary step with its column projections.
+    """The block step of D^T against S^T, every atom projected onto its ball.
 
     Returns the new dictionary, its worst ball violation, and the products
     X S^T and S S^T it was built from, which give the loss at (D_new, S).
     """
-    m = deltav.shape[1]
+    k, m = sv.shape[0], deltav.shape[1]
     xs = xv @ sv.T
     gram = sv @ sv.T
-    c_d = _scale_constant(gram)
-    b = (xs + dv @ (c_d * np.eye(sv.shape[0]) - gram)) / c_d
-    d_new = np.empty_like(b)
-    violation = 0.0
-    for i in range(b.shape[1]):
-        if i < m:
-            col = project_similarity_ball(b[:, i], deltav[:, i], spec.c_delta)
-            excess = float(np.sum((col - deltav[:, i]) ** 2)) - spec.c_delta
-        else:
-            col = project_l2_ball(b[:, i], spec.c_d)
-            excess = float(col @ col) - spec.c_d
-        d_new[:, i] = col
-        violation = max(violation, excess)
-    return d_new, max(violation, 0.0), xs, gram
+    centres = np.vstack([deltav.T, np.zeros((k - m, xv.shape[0]))])
+    radii = np.repeat([spec.c_delta, spec.c_d], [m, k - m])
+    d_t = _block_step(xs.T, gram, dv.T, lambda b: project_similarity_ball(b, centres, radii))
+    excess = np.einsum("ij,ij->i", d_t - centres, d_t - centres) - radii
+    return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
 
 
 def _loss(xv, x_sq: float, dv, sv, xs, gram) -> float:

@@ -157,11 +157,6 @@ class ConstraintSpec:
                 f"budget {self.phi[bad]} of row {bad} exceeds voxel count {n_voxels}"
             )
 
-    @classmethod
-    def from_percentages(cls, thetas, n_voxels: int, **kwargs) -> "ConstraintSpec":
-        phi = np.array([phi_from_theta(t, n_voxels) for t in np.atleast_1d(thetas)])
-        return cls(phi=phi, **kwargs)
-
 
 @dataclass(frozen=True)
 class SourceSet:

@@ -61,6 +61,35 @@ def oracle_spectral_norm(m):
     return float(np.max(np.linalg.eigvalsh(np.asarray(m, dtype=float))))
 
 
+def oracle_ball_columns(b, delta, c_delta, c_d):
+    """Project column i of ``b`` onto ``||x - delta_i||^2 <= c_delta`` for the
+    first ``delta.shape[1]`` columns and onto ``||x||^2 <= c_d`` for the rest,
+    one column at a time."""
+    b = np.asarray(b, dtype=float)
+    m = delta.shape[1]
+    out = np.empty_like(b)
+    for i in range(b.shape[1]):
+        centre = delta[:, i] if i < m else np.zeros(b.shape[0])
+        radius = c_delta if i < m else c_d
+        diff = b[:, i] - centre
+        dist_sq = float(diff @ diff)
+        out[:, i] = b[:, i] if dist_sq <= radius else centre + np.sqrt(radius / dist_sq) * diff
+    return out
+
+
+def per_atom_dictionary_step(x, s, d, delta, c_delta, c_d):
+    """The dictionary step written on D itself: the right-multiplied gradient
+    step ``(X S^T + D (cI - S S^T)) / c``, then each atom projected alone.
+
+    Returns the new dictionary and the step constant ``c``, which is the
+    top eigenvalue of S S^T times 1.01, floored at 1e-12.
+    """
+    gram = s @ s.T
+    c = max(1.01 * oracle_spectral_norm(gram), 1e-12)
+    b = (x @ s.T + d @ (c * np.eye(gram.shape[0]) - gram)) / c
+    return oracle_ball_columns(b, delta, c_delta, c_d), c
+
+
 def random_feasible_points(w, phi, count, rng):
     """Random points drawn inside the weighted-l1 ball."""
     u = rng.standard_normal((count, np.asarray(w).size))

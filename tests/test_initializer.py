@@ -15,7 +15,7 @@ from iadl.initializer import (
     order_by_sparsity,
     refine_full_sparsity,
 )
-from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_matrix_norm
+from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -162,7 +162,7 @@ def test_refine_enforces_matrix_budget_and_sparsifies(rng):
     sparsity_after = np.mean(s2.values == 0)
     assert sparsity_after >= sparsity_before
     w = compute_weights(s2.values, spec.epsilon)
-    assert weighted_l1_matrix_norm(s2.values, w) <= np.sum(spec.phi) * (1 + 1e-6) + 1e-6
+    assert weighted_l1_norm(s2.values, w) <= np.sum(spec.phi) * (1 + 1e-6) + 1e-6
 
 
 # -- ordering ---------------------------------------------------------------------

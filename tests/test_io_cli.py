@@ -106,6 +106,55 @@ def test_manifest_round_trip_and_tamper_detection(tmp_path, rng):
         verify_manifest(tmp_path)
 
 
+def _evaluate_inputs(tmp_path, rng):
+    """A truth and a fit directory that pass every check before scoring."""
+    truth, fit = tmp_path / "truth", tmp_path / "fit"
+    truth.mkdir()
+    fit.mkdir()
+    save_matrix(rng.standard_normal((3, 4)), truth / "x.iadl")
+    write_manifest(truth, ["x.iadl"])
+    resolved = {"data_checksum": sha256_file(truth / "x.iadl"), "assisted_count": 0}
+    (fit / "resolved.json").write_text(json.dumps(resolved))
+    write_manifest(fit, ["resolved.json"])
+    return truth, fit
+
+
+def _drop_data_checksum(truth, fit):
+    (fit / "resolved.json").write_text(json.dumps({"assisted_count": 0}))
+    write_manifest(fit, ["resolved.json"])
+
+
+@pytest.mark.parametrize(
+    "corrupt, named_file, named_key",
+    [
+        (lambda truth, fit: (truth / "manifest.json").write_text("{}\n"),
+         "manifest.json", "'checksums'"),
+        (lambda truth, fit: (truth / "manifest.json").write_text('{"checksums": ["x.iadl"]}'),
+         "manifest.json", "'checksums'"),
+        (lambda truth, fit: (truth / "manifest.json").write_text("not json\n"),
+         "manifest.json", "not valid JSON"),
+        (_drop_data_checksum, "resolved.json", "'data_checksum'"),
+        (lambda truth, fit: (truth / "x.iadl").unlink(), "manifest.json", "'x.iadl'"),
+    ],
+    ids=["missing_checksums", "checksums_list", "not_json", "resolved_lacks_checksum",
+         "listed_file_absent"],
+)
+def test_cli_evaluate_names_corrupt_file_and_key(
+    tmp_path, rng, capsys, corrupt, named_file, named_key
+):
+    truth, fit = _evaluate_inputs(tmp_path, rng)
+    corrupt(truth, fit)
+    code = main(["evaluate", "--truth", str(truth), "--fit", str(fit),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert named_file in err and named_key in err
+    if named_file == "manifest.json":
+        with pytest.raises(ValueError, match=named_key):
+            verify_manifest(truth)
+
+
 # -- config ------------------------------------------------------------------------
 
 
@@ -179,6 +228,18 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     code = main(["tune-cdelta", "--config", str(tmp_path / "missing.yaml")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_theta_outside_percent_range(tmp_path, rng, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    save_matrix(rng.standard_normal((150, 40)), data / "x.iadl")
+    config = tmp_path / "c.yaml"
+    config.write_text("k: 2\nsparsity:\n  theta: [140, 95]\n")
+    code = main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "fit"), "--blind"])
+    assert code == 1
+    assert "sparsity percentage 140" in capsys.readouterr().err
 
 
 def test_cli_full_pipeline(tmp_path, mini_config_path, capsys):

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from iadl import projections
 from iadl.projections import (
     compute_weights,
-    project_l2_ball,
     project_similarity_ball,
     project_weighted_l1_ball,
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
-    weighted_l1_matrix_norm,
     weighted_l1_norm,
 )
 
@@ -63,10 +61,10 @@ def test_weighted_l1_norm_length_mismatch():
 
 
 def test_matrix_norm_zero_and_vector_consistency(rng):
-    assert weighted_l1_matrix_norm(np.zeros((2, 3)), np.ones((2, 3))) == 0.0
+    assert weighted_l1_norm(np.zeros((2, 3)), np.ones((2, 3))) == 0.0
     x = rng.standard_normal(7)
     w = rng.random(7) + 0.1
-    assert weighted_l1_matrix_norm(x[None, :], w[None, :]) == pytest.approx(
+    assert weighted_l1_norm(x[None, :], w[None, :]) == pytest.approx(
         weighted_l1_norm(x, w)
     )
 
@@ -75,7 +73,7 @@ def test_matrix_norm_row_sum_oracle(rng):
     s = rng.standard_normal((3, 4))
     w = rng.random((3, 4)) + 0.05
     expected = sum(weighted_l1_norm(s[i], w[i]) for i in range(3))
-    assert weighted_l1_matrix_norm(s, w) == pytest.approx(expected)
+    assert weighted_l1_norm(s, w) == pytest.approx(expected)
 
 
 def test_self_weighted_norm_below_l0(rng):
@@ -369,11 +367,11 @@ def test_matrix_ball_single_row_equals_vector(rng):
 def test_matrix_ball_vectorize_oracle(rng):
     s = rng.standard_normal((3, 5)) * 4
     w = rng.random((3, 5)) + 0.1
-    phi = 0.4 * weighted_l1_matrix_norm(s, w)
+    phi = 0.4 * weighted_l1_norm(s, w)
     out = project_weighted_l1_matrix_ball(s, w, phi)
     ref = oracle_project(s.ravel(), w.ravel(), phi).reshape(3, 5)
     np.testing.assert_allclose(out, ref, atol=1e-8)
-    assert weighted_l1_matrix_norm(out, w) == pytest.approx(phi, rel=1e-10)
+    assert weighted_l1_norm(out, w) == pytest.approx(phi, rel=1e-10)
 
 
 # -- similarity and l2 balls ---------------------------------------------------
@@ -410,15 +408,47 @@ def test_similarity_ball_boundary_exact(rng):
 
 def test_l2_ball_cases():
     unit = np.array([1.0, 0.0])
-    np.testing.assert_array_equal(project_l2_ball(unit, 1.0), unit)
-    np.testing.assert_allclose(project_l2_ball(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
+    zero = np.zeros(2)
+    np.testing.assert_array_equal(project_similarity_ball(unit, zero, 1.0), unit)
+    np.testing.assert_allclose(
+        project_similarity_ball(np.array([2.0, 0.0]), zero, 1.0), [1.0, 0.0]
+    )
 
 
 def test_l2_ball_reduces_to_similarity_with_zero_center(rng):
+    # around zero the projection is the radial rescaling b * sqrt(c / ||b||^2)
     b = rng.standard_normal(7) * 3
     np.testing.assert_allclose(
-        project_l2_ball(b, 0.7), project_similarity_ball(b, np.zeros(7), 0.7)
+        project_similarity_ball(b, np.zeros(7), 0.7), b * np.sqrt(0.7 / (b @ b)), rtol=1e-14
     )
+
+
+def test_similarity_ball_matrix_rows_match_vectors(rng):
+    # each row has its own centre and radius; zero centres and a zero radius
+    # mix with ordinary balls, and rows already inside pass through
+    b = rng.standard_normal((5, 9)) * 3
+    centres = rng.standard_normal((5, 9))
+    centres[3:] = 0.0
+    radii = np.array([0.5, 0.0, 1e3, 1.0, 0.2])
+    out = project_similarity_ball(b, centres, radii)
+    for i in range(5):
+        np.testing.assert_array_equal(out[i], project_similarity_ball(b[i], centres[i], radii[i]))
+    np.testing.assert_array_equal(out[2], b[2])
+    np.testing.assert_array_equal(out[1], centres[1])
+    # one radius for every row broadcasts
+    np.testing.assert_array_equal(
+        project_similarity_ball(b, centres, 0.5),
+        project_similarity_ball(b, centres, np.full(5, 0.5)),
+    )
+
+
+def test_similarity_ball_matrix_input_validation():
+    with pytest.raises(ValueError, match="radius"):
+        project_similarity_ball(np.ones((3, 2)), np.zeros((3, 2)), [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        project_similarity_ball(np.ones((2, 2)), np.zeros((2, 2)), [1.0, -1.0])
+    with pytest.raises(ValueError, match="shape"):
+        project_similarity_ball(np.ones((2, 2)), np.zeros((2, 3)), 1.0)
 
 
 def test_ball_projections_nonexpansive(rng):

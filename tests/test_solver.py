@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
 from iadl.solver import (
@@ -14,7 +16,12 @@ from iadl.solver import (
 from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
-from oracles import oracle_spectral_norm, random_feasible_points
+from oracles import (
+    oracle_ball_columns,
+    oracle_spectral_norm,
+    per_atom_dictionary_step,
+    random_feasible_points,
+)
 
 
 def make_instance(rng, t=12, n=30, k=4, m=2, phi=None, noise=0.05, budget_factor=1.3):
@@ -147,6 +154,57 @@ def test_dictionary_update_blind_mode_bounds_norms(rng):
     before = dictionary_surrogate(x.values, s0.values, d0.values, d0.values, c_d)
     after = dictionary_surrogate(x.values, s0.values, out.values, d0.values, c_d)
     assert after <= before + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(2, 12),
+    n=st.integers(1, 15),
+    k=st.integers(1, 6),
+    m_share=st.floats(0.0, 1.0),
+    c_delta=st.one_of(st.just(0.0), st.floats(1e-3, 4.0)),
+    c_d=st.floats(0.05, 4.0),
+    x_rank=st.integers(0, 3),
+    s_scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+)
+@example(seed=1, t=6, n=9, k=4, m_share=0.0, c_delta=0.5, c_d=1.0, x_rank=2, s_scale=1.0)
+@example(seed=2, t=6, n=9, k=4, m_share=1.0, c_delta=0.5, c_d=1.0, x_rank=3, s_scale=1.0)
+@example(seed=3, t=6, n=9, k=4, m_share=0.5, c_delta=0.0, c_d=1.0, x_rank=3, s_scale=1.0)
+@example(seed=4, t=6, n=9, k=4, m_share=0.5, c_delta=0.5, c_d=1.0, x_rank=3, s_scale=0.0)
+@example(seed=5, t=3, n=9, k=6, m_share=0.5, c_delta=0.5, c_d=1.0, x_rank=1, s_scale=1.0)
+def test_dictionary_step_matches_per_atom_reference(
+    seed, t, n, k, m_share, c_delta, c_d, x_rank, s_scale
+):
+    # The transposed block step with one ball projection for all atoms
+    # against the per-atom reference: M = 0 and M = K, pinned atoms
+    # (c_delta = 0), an all-zero S (the step constant's floor) and K above
+    # the data rank, with the anchor feasible for its balls.
+    rng = np.random.default_rng(seed)
+    m = int(round(m_share * k))
+    x = rng.standard_normal((t, x_rank)) @ rng.standard_normal((x_rank, n))
+    s = s_scale * rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.6)
+    delta = rng.standard_normal((t, m))
+    d0 = oracle_ball_columns(3.0 * rng.standard_normal((t, k)), delta, c_delta, c_d)
+    spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=c_delta, c_d=c_d)
+
+    d_new, violation, _, _ = _dictionary_step(x, s, d0, delta, spec)
+    ref, c = per_atom_dictionary_step(x, s, d0, delta, c_delta, c_d)
+    assert d_new.flags.c_contiguous
+    np.testing.assert_allclose(d_new, ref, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+    centres = np.hstack([delta, np.zeros((t, k - m))])
+    radii = np.repeat([c_delta, c_d], [m, k - m])
+    dist_sq = np.sum((d_new - centres) ** 2, axis=0)
+    assert np.all(dist_sq <= radii + 1e-12 * np.maximum(radii, 1.0))
+    assert 0.0 <= violation <= 1e-12 * max(c_delta, c_d, 1.0)
+
+    anchor = dictionary_surrogate(x, s, d0, d0, c)
+    after = dictionary_surrogate(x, s, d_new, d0, c)
+    loss = float(np.linalg.norm(x - d_new @ s) ** 2)
+    tol = 1e-10 * max(anchor, 1.0)
+    assert after <= anchor + tol
+    assert loss <= after + tol
 
 
 # -- surrogates and multipliers --------------------------------------------------
