@@ -2,9 +2,9 @@
 time-course measures, greedy assisted-then-blind matching, and the atlas
 sparsity arithmetic.
 
-Correlations use the standard vectorized sample Pearson (count-1 divisor
-with sample standard deviations), which bounds rho by 1; rankings built on
-rho^2 are unaffected by the normalization constant.
+Pearson r is written once, as a table over all pairs built from raw
+moments (``_pearson_table``); a ratio of moments needs no divisor
+convention. The initializer's merge and alignment read the course table.
 """
 
 from __future__ import annotations
@@ -39,35 +39,54 @@ def full_source(d, s) -> np.ndarray:
     return np.outer(np.asarray(d, dtype=np.float64), np.asarray(s, dtype=np.float64))
 
 
-def _outer_pearson_sq(d1, s1, d2, s2) -> float:
-    """rho^2 between two outer products, without materializing them.
+def _pearson_table(sum_a, sq_a, sum_b, sq_b, cross, count) -> np.ndarray:
+    """Pearson r of every pair (i, j) from the raw moments of two sets of
+    ``count``-sample vectors: their sums, sums of squares and cross sums.
 
-    All moments of d s^T reduce to per-factor moments, so each pair costs
-    O(T + N) instead of O(T N). Returns 0 for constant sources.
+    A side whose moments give no positive variance is constant, and its
+    pairs get 0. r is clipped to [-1, 1].
     """
-    t, n = d1.size, s1.size
-    count = t * n
-    sum1 = d1.sum() * s1.sum()
-    sum2 = d2.sum() * s2.sum()
-    sq1 = (d1 @ d1) * (s1 @ s1)
-    sq2 = (d2 @ d2) * (s2 @ s2)
-    cross = (d1 @ d2) * (s1 @ s2)
-    var1 = sq1 - sum1 * sum1 / count
-    var2 = sq2 - sum2 * sum2 / count
-    if var1 <= 0 or var2 <= 0:
-        return 0.0
-    cov = cross - sum1 * sum2 / count
-    return float(min(cov * cov / (var1 * var2), 1.0))
+    cov = cross - np.outer(sum_a, sum_b) / count
+    spread_a = np.sqrt(np.maximum(sq_a - sum_a * sum_a / count, 0.0))
+    spread_b = np.sqrt(np.maximum(sq_b - sum_b * sum_b / count, 0.0))
+    denom = np.outer(spread_a, spread_b)
+    r = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0)
+    return np.clip(r, -1.0, 1.0)
 
 
-def _course_pearson_sq(d1, d2) -> float:
-    c1 = d1 - d1.mean()
-    c2 = d2 - d2.mean()
-    denom = (c1 @ c1) * (c2 @ c2)
-    if denom <= 0:
-        return 0.0
-    num = c1 @ c2
-    return float(min(num * num / denom, 1.0))
+def _course_table(a, b) -> np.ndarray:
+    """Pearson r between every column of ``a`` and every column of ``b``.
+
+    Columns are centred, as uncentred moments can round |r| past 1, and
+    constant ones zeroed, as centring can leave them a rounding-size
+    constant. ``einsum`` gives equal columns equal entries: ties stay exact.
+    """
+    a, b = (np.where(np.ptp(v, axis=0) > 0, v - v.mean(axis=0), 0.0) for v in (a, b))
+    return _pearson_table(
+        np.zeros(a.shape[1]), np.einsum("ti,ti->i", a, a),
+        np.zeros(b.shape[1]), np.einsum("ti,ti->i", b, b),
+        np.einsum("ti,tj->ij", a, b), a.shape[0],
+    )
+
+
+def _full_source_table(d_a, s_a, d_b, s_b) -> np.ndarray:
+    """Pearson r between the full sources ``d s^T`` of two sets, without
+    materializing them: each moment of ``d s^T`` is the product of that
+    moment of ``d`` and of ``s``. A source whose course and map are both
+    constant is zeroed, as its moments can round to a small variance.
+    """
+    d_a, d_b = (
+        np.where((np.ptp(d, axis=0) > 0) | (np.ptp(s, axis=1) > 0), d, 0.0)
+        for d, s in ((d_a, s_a), (d_b, s_b))
+    )
+    return _pearson_table(
+        d_a.sum(axis=0) * s_a.sum(axis=1),
+        np.einsum("ti,ti->i", d_a, d_a) * np.einsum("in,in->i", s_a, s_a),
+        d_b.sum(axis=0) * s_b.sum(axis=1),
+        np.einsum("ti,ti->i", d_b, d_b) * np.einsum("in,in->i", s_b, s_b),
+        np.einsum("ti,tj->ij", d_a, d_b) * np.einsum("in,jn->ij", s_a, s_b),
+        d_a.shape[0] * s_a.shape[1],
+    )
 
 
 @dataclass(frozen=True)
@@ -80,21 +99,6 @@ class MatchReport:
     summaries: dict
 
 
-def _correlation_table(truth: SourceSet, dv, sv, mode: str) -> np.ndarray:
-    k_true = truth.n_sources
-    k_est = dv.shape[1]
-    c = np.zeros((k_true, k_est))
-    for i in range(k_true):
-        td = truth.time_courses[:, i]
-        ts = truth.spatial_maps[i]
-        for j in range(k_est):
-            if mode == FULL_SOURCE:
-                c[i, j] = _outer_pearson_sq(td, ts, dv[:, j], sv[j])
-            else:
-                c[i, j] = _course_pearson_sq(td, dv[:, j])
-    return c
-
-
 def match_and_score(
     truth: SourceSet,
     est_dictionary: Dictionary,
@@ -104,11 +108,12 @@ def match_and_score(
 ) -> MatchReport:
     """Assign estimated sources to true sources and score the assignment.
 
-    Assisted estimates (the first M atoms) are matched directly to their
-    known true sources; the rest greedily take the largest remaining
-    rho^2 entry, with ties resolved at the lowest row then column index.
-    Both the full-source and time-course scores are reported along the
-    selected assignment.
+    Both rho^2 tables, full source and time course, are built once over
+    all (true, estimate) pairs; ``mode`` picks the one that drives the
+    matching. Assisted estimates (the first M atoms) are matched directly
+    to their known true sources; the rest greedily take the largest
+    remaining entry, with ties resolved at the lowest row then column
+    index. ``r_full`` and ``r_time`` read both tables along the assignment.
     """
     if mode not in (FULL_SOURCE, TIME_COURSE):
         raise ValueError(f"unknown scoring mode {mode!r}")
@@ -125,36 +130,24 @@ def match_and_score(
 
     dv = est_dictionary.values
     sv = est_coefficients.values
-    c = _correlation_table(truth, dv, sv, mode)
+    td = truth.time_courses
+    r2_full = _full_source_table(td, truth.spatial_maps, dv, sv) ** 2
+    r2_time = _course_table(td, dv) ** 2
+    c = r2_full if mode == FULL_SOURCE else r2_time
 
-    r = np.zeros(k_true)
-    mapping = {}
-    work = c.copy()
-    for j, true_idx in enumerate(p):
-        r[true_idx] = work[true_idx, j]
-        mapping[true_idx] = j
-        work[true_idx, :] = 0.0
-        work[:, j] = 0.0
-
-    open_rows = np.ones(k_true, dtype=bool)
-    open_cols = np.ones(k_est, dtype=bool)
-    open_rows[p] = False
-    open_cols[:m] = False
+    mapping = dict(zip(p, range(m)))
+    open_rows = ~np.isin(np.arange(k_true), p)
+    open_cols = np.arange(k_est) >= m
     for _ in range(min(k_true, k_est) - m):
-        masked = np.where(open_rows[:, None] & open_cols[None, :], work, -1.0)
+        masked = np.where(open_rows[:, None] & open_cols[None, :], c, -1.0)
         i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        r[i] = max(work[i, j], 0.0)
-        mapping[i] = int(j)
+        mapping[int(i)] = int(j)
         open_rows[i] = False
         open_cols[j] = False
 
-    r_full = np.zeros(k_true)
-    r_time = np.zeros(k_true)
-    for i, j in mapping.items():
-        r_full[i] = _outer_pearson_sq(
-            truth.time_courses[:, i], truth.spatial_maps[i], dv[:, j], sv[j]
-        )
-        r_time[i] = _course_pearson_sq(truth.time_courses[:, i], dv[:, j])
+    rows, cols = list(mapping), list(mapping.values())
+    r_full, r_time = np.zeros(k_true), np.zeros(k_true)
+    r_full[rows], r_time[rows] = r2_full[rows, cols], r2_time[rows, cols]
 
     brain = [i for i, kind in enumerate(truth.kinds) if kind in BRAIN_KINDS]
     sets = {"assisted": p, "brain": brain or list(range(k_true)), "all": list(range(k_true))}

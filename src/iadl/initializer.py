@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import _course_table
 from .projections import (
     compute_weights,
     project_weighted_l1_matrix_ball,
@@ -48,32 +49,19 @@ def _sym_decorrelate(w):
     return (vecs / np.sqrt(vals)) @ vecs.T @ w
 
 
-def _pearson(a, b):
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0:
-        return 0.0
-    return float(a @ b / denom)
-
-
 def merge_correlated(d, s, threshold):
     """Collapse component pairs whose time courses correlate beyond the
-    threshold: sum the pair (sign-aligned), renormalize the merged atom."""
+    threshold: sum the pair (sign-aligned), renormalize the merged atom.
+    The pair of largest |r| goes first, the lowest (i, j) on ties."""
     d = np.array(d, dtype=float)
     s = np.array(s, dtype=float)
     while d.shape[1] > 1:
-        k = d.shape[1]
-        best = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                rho = _pearson(d[:, i], d[:, j])
-                if abs(rho) > threshold and (best is None or abs(rho) > abs(best[2])):
-                    best = (i, j, rho)
-        if best is None:
+        r = _course_table(d, d)
+        upper = np.triu(np.abs(r), k=1)
+        i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
+        if upper[i, j] <= threshold:
             break
-        i, j, rho = best
-        sign = 1.0 if rho >= 0 else -1.0
+        sign = 1.0 if r[i, j] >= 0 else -1.0
         d[:, i] = d[:, i] + sign * d[:, j]
         nrm = np.linalg.norm(d[:, i])
         if nrm > 0:
@@ -135,22 +123,17 @@ def align_assisted(dbar: Dictionary, sbar: CoefficientMatrix, delta: TaskTimeCou
     if m > k:
         raise ValueError(f"{m} task courses but only {k} atoms")
     dv = dbar.values
+    r = _course_table(delta.values, dv)
+    open_abs = np.abs(r)
     matched = []
-    signs = []
-    remaining = list(range(k))
     for i in range(m):
-        corrs = [_pearson(delta.values[:, i], dv[:, j]) for j in remaining]
-        pick = int(np.argmax(np.abs(corrs)))
-        matched.append(remaining.pop(pick))
-        signs.append(1.0 if corrs[pick] >= 0 else -1.0)
-
-    perm = matched + remaining
+        matched.append(int(np.argmax(open_abs[i])))
+        open_abs[:, matched[-1]] = -1.0
+    perm = matched + sorted(set(range(k)) - set(matched))
     d_new = dv[:, perm].copy()
     s_new = sbar.values[perm].copy()
     d_new[:, :m] = delta.values
-    for i, sign in enumerate(signs):
-        if sign < 0:
-            s_new[i] = -s_new[i]
+    s_new[:m] *= np.where(r[np.arange(m), matched] >= 0, 1.0, -1.0)[:, None]
     return Dictionary(d_new, assisted_count=m), CoefficientMatrix(s_new)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +53,14 @@ def save_matrix(values, path) -> None:
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".csv":
-        arr = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+            except ValueError as err:
+                raise MatrixFileError(f"{path}: {err}") from err
+        if arr.size == 0:
+            raise MatrixFileError(f"{path}: no values")
         if not np.all(np.isfinite(arr)):
             raise MatrixFileError(f"{path}: non-finite values")
         return arr

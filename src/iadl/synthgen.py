@@ -24,7 +24,7 @@ from .hrf import (
     hrf_curve,
     task_time_course,
 )
-from .types import DataMatrix, SourceSet
+from .types import DataMatrix, SourceSet, phi_from_theta
 
 TASK = "task"
 TRANSIENT = "transient"
@@ -71,10 +71,6 @@ class SyntheticDataset:
     grid: tuple
 
 
-def _active_count(theta: float, n: int) -> int:
-    return int(round(n * (1.0 - theta / 100.0)))
-
-
 def generate_spatial_map(spec: SyntheticSourceSpec, grid, rng) -> np.ndarray:
     """Sum of Gaussian bumps thresholded to the target sparsity, with the
     strongest ``plateau_fraction`` of active voxels flattened to the peak."""
@@ -90,7 +86,7 @@ def generate_spatial_map(spec: SyntheticSourceSpec, grid, rng) -> np.ndarray:
         field += np.exp(-dist_sq / (2.0 * spec.blob_radius**2))
     flat = field.ravel()
 
-    k = _active_count(spec.target_sparsity, n)
+    k = int(round(phi_from_theta(spec.target_sparsity, n)))
     if k == 0:
         return np.zeros(n)
     reachable = int(np.count_nonzero(flat > flat.max() * 1e-12))
@@ -123,9 +119,7 @@ def artifact_values(kind: str, n: int, rng) -> np.ndarray:
 def generate_artifact_pair(kind: str, sparsity: float, n_times: int, n_voxels: int, rng):
     """Artifact (time course, spatial map): smoothed-noise course with unit
     peak and an i.i.d. map masked to the requested sparsity."""
-    if not 0.0 <= sparsity <= 100.0:
-        raise ValueError("sparsity must lie in [0, 100]")
-    k = _active_count(sparsity, n_voxels)
+    k = int(round(phi_from_theta(sparsity, n_voxels)))
     spatial = np.zeros(n_voxels)
     if k > 0:
         idx = rng.choice(n_voxels, size=k, replace=False)

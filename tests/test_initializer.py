@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iadl.evaluation import _course_table
 from iadl.initializer import (
     InitConfig,
     _cut_to_budget,
@@ -17,6 +18,8 @@ from iadl.initializer import (
 )
 from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
+
+from oracles import pair_pearson, pairwise_align, pairwise_merge
 
 
 def laplace_sources(rng, k, n):
@@ -122,6 +125,90 @@ def test_align_never_changes_free_column_multiset(rng):
     orig = {tuple(np.round(d[:, j], 12)) for j in range(5)}
     kept = {tuple(np.round(d2.values[:, j], 12)) for j in range(2, 5)}
     assert kept <= orig
+
+
+def correlated_courses(rng, t, base, copies, dup):
+    """``base`` random courses, then ``copies`` sign-flipped, rescaled noisy
+    copies of them at distinct noise levels and, if ``dup``, one exact
+    duplicate, in random order.
+
+    At most one duplicate: two pairs that tie at |r| = 1 only up to
+    rounding are ordered by the rounding, which differs between a per-pair
+    and a tabled correlation.
+    """
+    d = rng.standard_normal((t, base))
+    for noise in rng.uniform(1e-3, 0.5, copies):
+        src = d[:, rng.integers(base)]
+        copy = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * src
+        d = np.column_stack([d, copy + noise * rng.standard_normal(t)])
+    if dup:
+        d = np.column_stack([d, d[:, rng.integers(d.shape[1])]])
+    return d[:, rng.permutation(d.shape[1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(3, 12),
+    base=st.integers(1, 4),
+    copies=st.integers(0, 3),
+    dup=st.booleans(),
+    threshold=st.floats(0.5, 0.99),
+)
+def test_merge_matches_pairwise_reference(seed, t, base, copies, dup, threshold):
+    rng = np.random.default_rng(seed)
+    d = correlated_courses(rng, t, base, copies, dup)
+    k = d.shape[1]
+    s = rng.standard_normal((k, 7))
+    r = _course_table(d, d)
+    ref = np.array([[pair_pearson(d[:, i], d[:, j]) for j in range(k)] for i in range(k)])
+    np.testing.assert_allclose(r, np.clip(ref, -1.0, 1.0), rtol=0, atol=1e-12)
+    d_ref, s_ref = pairwise_merge(d, s, threshold)
+    d_new, s_new = merge_correlated(d, s, threshold)
+    np.testing.assert_array_equal(d_new, d_ref)
+    np.testing.assert_array_equal(s_new, s_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(3, 12),
+    m=st.integers(0, 3),
+    extra=st.integers(1, 4),
+    dup=st.booleans(),
+    n_const=st.integers(0, 2),
+)
+def test_align_matches_pairwise_reference(seed, t, m, extra, dup, n_const):
+    rng = np.random.default_rng(seed)
+    delta = rng.standard_normal((t, m))
+    # one or two noisy, sign-flipped copies per task course, then free atoms
+    copies = [
+        rng.choice([-1.0, 1.0]) * delta[:, i] + noise * rng.standard_normal(t)
+        for i in range(m)
+        for noise in rng.uniform(1e-3, 1.0, rng.integers(1, 3))
+    ]
+    dv = np.column_stack(copies + [correlated_courses(rng, t, extra, 1, dup)])
+    # dyadic constants centre to exact zeros in both implementations
+    for j in rng.choice(dv.shape[1], size=n_const, replace=False):
+        dv[:, j] = rng.choice([0.0, 0.5, -2.0])
+    dv = dv[:, rng.permutation(dv.shape[1])]
+    sv = rng.standard_normal((dv.shape[1], 6))
+    d_ref, s_ref = pairwise_align(dv, sv, delta)
+    d_new, s_new = align_assisted(Dictionary(dv), CoefficientMatrix(sv), TaskTimeCourses(delta))
+    np.testing.assert_array_equal(d_new.values, d_ref)
+    np.testing.assert_array_equal(s_new.values, s_ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), dup=st.booleans())
+def test_two_sample_courses_never_merge_at_threshold_one(seed, k, dup):
+    # any two non-constant two-sample courses correlate at |r| = 1
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((2, k))
+    if dup:
+        d[:, -1] = d[:, 0]
+    d2, s2 = merge_correlated(d, rng.standard_normal((k, 5)), 1.0)
+    assert d2.shape == (2, k) and s2.shape == (k, 5)
 
 
 # -- refinement -------------------------------------------------------------------

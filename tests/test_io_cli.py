@@ -53,12 +53,28 @@ def test_binary_round_trip_exact(tmp_path, rng):
     np.testing.assert_array_equal(back, m)
 
 
-def test_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("shape", [(5, 1), (1, 5), (3, 4)], ids=["5x1", "1x5", "3x4"])
+def test_csv_round_trip(tmp_path, rng, shape):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")
     np.testing.assert_array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
-    save_matrix(np.array([[np.pi, 1e-17], [3.0, 4.0]]), path)
-    np.testing.assert_array_equal(load_matrix(path), [[np.pi, 1e-17], [3.0, 4.0]])
+    m = rng.standard_normal(shape)
+    m.flat[0] = np.pi
+    m.flat[-1] = 1e-17
+    save_matrix(m, path)
+    back = load_matrix(path)
+    assert back.shape == shape
+    np.testing.assert_array_equal(back, m)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n\n", "1,2\n3\n", "a,1\n2,3\n"], ids=["empty", "blank", "ragged", "text"]
+)
+def test_corrupt_csv_rejected(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixFileError, match="m.csv"):
+        load_matrix(path)
 
 
 def test_truncated_payload_rejected(tmp_path, rng):

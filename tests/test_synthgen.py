@@ -75,6 +75,11 @@ def test_artifact_kurtosis_ordering(rng):
     assert sub < gauss < sup
 
 
+def test_artifact_rejects_sparsity_outside_percent_range(rng):
+    with pytest.raises(ValueError, match=r"outside \[0, 100\]"):
+        generate_artifact_pair(ARTIFACT_GAUSSIAN, 140.0, 30, 500, rng)
+
+
 def test_artifact_fully_sparse_map(rng):
     course, spatial = generate_artifact_pair(ARTIFACT_GAUSSIAN, 100.0, 30, 500, rng)
     np.testing.assert_array_equal(spatial, np.zeros(500))
@@ -82,13 +87,16 @@ def test_artifact_fully_sparse_map(rng):
 
 
 def test_assemble_noise_free_sentinel(rng):
-    ds = assemble_dataset(MINI_SPECS, (40, 40), 60, 2.0, canonical_params(), np.inf, rng)
+    # 60 scans of 2 s end before the later MINI_SPECS blocks start
+    with pytest.warns(UserWarning, match="beyond the scan end"):
+        ds = assemble_dataset(MINI_SPECS, (40, 40), 60, 2.0, canonical_params(), np.inf, rng)
     np.testing.assert_array_equal(ds.x.values, ds.truth.clean_signal())
     assert ds.noise_sigma == 0.0
 
 
 def test_assemble_zero_db_power_match(rng):
-    ds = assemble_dataset(MINI_SPECS, (40, 40), 80, 2.0, canonical_params(), 0.0, rng)
+    with pytest.warns(UserWarning, match="beyond the scan end"):
+        ds = assemble_dataset(MINI_SPECS, (40, 40), 80, 2.0, canonical_params(), 0.0, rng)
     clean = ds.truth.clean_signal()
     p_signal = np.mean(clean**2)
     p_noise = np.mean((ds.x.values - clean) ** 2)
