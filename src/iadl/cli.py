@@ -38,12 +38,12 @@ from .types import (
 
 
 def _load_config(args) -> iadl_io.ExperimentConfig:
+    """The config with the --seed override applied; the seed also seeds the
+    initializer."""
     config = iadl_io.load_config(args.config)
-    if args.seed is not None:
-        config = iadl_io.ExperimentConfig(
-            **{**config.__dict__, "seed": int(args.seed)}
-        )
-    return config
+    seed = config.seed if args.seed is None else int(args.seed)
+    init = InitConfig(**{**config.init.__dict__, "rng_seed": seed})
+    return iadl_io.ExperimentConfig(**{**config.__dict__, "seed": seed, "init": init})
 
 
 def _task_courses_canonical(config) -> np.ndarray:
@@ -134,8 +134,7 @@ def cmd_init(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
-    init_cfg = InitConfig(**{**config.init.__dict__, "rng_seed": config.seed})
-    d0, s0 = initialize(x, config.k, delta, spec, init_cfg)
+    d0, s0 = initialize(x, config.k, delta, spec, config.init)
     _write_init_bundle(out, d0, s0)
     iadl_io.write_manifest(out, ["init_dict.iadl", "init_coef.iadl"])
     print(f"wrote starting point to {out}")
@@ -148,7 +147,6 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
 
-    init_cfg = InitConfig(**{**config.init.__dict__, "rng_seed": config.seed})
     d_start = s_start = None
     if args.init_dir:
         init_dir = Path(args.init_dir)
@@ -157,7 +155,7 @@ def cmd_fit(args) -> int:
             assisted_count=delta.n_courses,
         )
         s_start = CoefficientMatrix(iadl_io.load_matrix(init_dir / "init_coef.iadl"))
-    d0, s0 = initialize(x, config.k, delta, spec, init_cfg, d0=d_start, s0=s_start)
+    d0, s0 = initialize(x, config.k, delta, spec, config.init, d0=d_start, s0=s_start)
 
     result = run_iadl(x, d0, s0, delta, spec, config.solver)
 
@@ -181,7 +179,7 @@ def cmd_fit(args) -> int:
         "seed": config.seed,
         "blind": bool(args.blind),
         "solver": config.solver.__dict__,
-        "init": init_cfg.__dict__,
+        "init": config.init.__dict__,
         "iterations_run": trace.iterations_run,
         "stop_reason": trace.stop_reason,
         "final_objective": float(trace.objective[-1]),

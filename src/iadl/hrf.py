@@ -180,13 +180,12 @@ def estimate_c_delta(
     tr: float,
     reference: TwoGammaParams | None = None,
     alternate: TwoGammaParams | None = None,
-    normalize: bool = True,
 ) -> float:
     """Similarity radius from the expected response variability.
 
-    For each condition, builds the task course under the reference response
-    and under a plausible alternative, and returns the mean squared distance
-    between the two across conditions.
+    For each condition, builds the unit-peak task course under the reference
+    response and under a plausible alternative, and returns the mean squared
+    distance between the two across conditions.
     """
     conditions = list(conditions)
     if not conditions:
@@ -198,7 +197,7 @@ def estimate_c_delta(
     distances = []
     for cond in conditions:
         u = build_regressor(cond, n_times, tr)
-        d_ref = task_time_course(u, h_ref, normalize=normalize)
-        d_alt = task_time_course(u, h_alt, normalize=normalize)
+        d_ref = task_time_course(u, h_ref)
+        d_alt = task_time_course(u, h_alt)
         distances.append(float(np.sum((d_ref - d_alt) ** 2)))
     return float(np.mean(distances))

@@ -270,6 +270,8 @@ def load_config(path) -> ExperimentConfig:
 
     solver_kwargs = _section(raw, "solver")
     init_kwargs = _section(raw, "init")
+    if "rng_seed" in init_kwargs:
+        raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
     dataset_kwargs = _section(raw, "dataset")
     alt = _section(raw, "alternate_hrf")
 

@@ -8,10 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows whose weight ratio max/min exceeds this take the bisection path: the
-# breakpoint scan's suffix sums lose the small-weight terms there.
-_DEGENERATE_RATIO = 1e12
-
 # Vectorized Michelot passes that filter a block before its breakpoint scan;
 # three leave about a fifth of the entries of a solver row.
 _MICHELOT_PASSES = 3
@@ -43,23 +39,11 @@ def _check_weights(w):
         raise ValueError("weights must be strictly positive and finite")
 
 
-def _bisect_gamma(mags, w, phi, iters=128):
-    # Monotone decreasing g(gamma) = sum w * max(mags - gamma * w, 0).
-    lo = 0.0
-    hi = float(np.max(mags / w))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.sum(w * np.maximum(mags - mid * w, 0.0)) > phi:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _project_block(v, w, phi):
-    """Project rows known to violate their constraint: Michelot passes drop
+    """Project rows that violate a positive radius: Michelot passes drop
     entries at or below a lower bound on the threshold, then a sorted
-    breakpoint scan over the survivors finds it exactly."""
+    breakpoint scan over the survivors finds it exactly, at any spread of
+    the weights."""
     mags = np.abs(v)
     ratios = mags / w
     wm = w * mags
@@ -97,7 +81,13 @@ def _project_block(v, w, phi):
         k = np.argmax(g <= phi[i])
         gamma[i] = (suf_a[k] - phi[i]) / suf_b[k]
 
-    part = mags - gamma[:, None] * w
+    return _shrink(v, w, gamma)
+
+
+def _shrink(v, w, gamma):
+    """Soft-threshold each row of ``v`` at ``gamma[i] * w``: signs are kept
+    and shrunk entries become exact (positive) zeros."""
+    part = np.abs(v) - gamma[:, None] * w
     return np.where(part > 0.0, np.sign(v) * part, 0.0)
 
 
@@ -105,36 +95,25 @@ def _project_rows(v, w, phi):
     """Row-wise projection on validated inputs: float64 arrays, strictly
     positive weights, non-negative radii."""
     out = np.array(v, dtype=np.float64, copy=True)
-    mags = np.abs(v)
-    wl1 = np.einsum("ij,ij->i", w, mags)
-    todo = np.flatnonzero(wl1 > phi)
-    if todo.size == 0:
-        return out
-
-    zero_radius = todo[phi[todo] == 0.0]
-    out[zero_radius] = 0.0
+    todo = np.flatnonzero(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
+    out[todo[phi[todo] == 0.0]] = 0.0
     todo = todo[phi[todo] > 0.0]
     if todo.size == 0:
         return out
-
-    cond = np.max(w[todo], axis=1) / np.min(w[todo], axis=1)
-    degenerate = cond > _DEGENERATE_RATIO
-
-    easy = todo[~degenerate]
-    if easy.size:
-        out[easy] = _project_block(v[easy], w[easy], phi[easy])
-
-    for i in todo[degenerate]:
-        gamma = _bisect_gamma(mags[i], w[i], phi[i])
-        part = mags[i] - gamma * w[i]
-        out[i] = np.where(part > 0.0, np.sign(v[i]) * part, 0.0)
+    out[todo] = _project_block(v[todo], w[todo], phi[todo])
 
     # Survivors |v| - gamma * w keep only the low bits of |v| when the
     # weights dwarf the radius, so a row can round past phi by far more than
-    # an ulp of phi; shrink such rows back onto their sphere.
-    norms = np.einsum("ij,ij->i", w[todo], np.abs(out[todo]))
-    over = norms > phi[todo]
-    out[todo[over]] *= (phi[todo[over]] / norms[over])[:, None]
+    # an ulp of phi. Raising the threshold by excess / sum(w^2) over the
+    # survivors takes the excess off them in proportion to their weights and
+    # leaves large entries with small weights in place; a row still past phi
+    # (survivors too small to shift) is then scaled back onto its sphere.
+    over = todo[np.einsum("ij,ij->i", w[todo], np.abs(out[todo])) > phi[todo]]
+    rows, wo, po = out[over], w[over], phi[over]
+    excess = np.einsum("ij,ij->i", wo, np.abs(rows)) - po
+    rows = _shrink(rows, wo, excess / np.einsum("ij,ij->i", wo * wo, rows != 0.0))
+    norms = np.einsum("ij,ij->i", wo, np.abs(rows))
+    out[over] = rows * (po / np.maximum(norms, po))[:, None]
     return out
 
 
@@ -147,8 +126,6 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     zeros. Three Michelot passes bound the threshold from below and drop the
     entries whose breakpoint ``|v| / w`` lies at or under that bound; a
     sorted scan of the surviving breakpoints then gives the exact threshold.
-    Rows whose weights span more than twelve orders of magnitude bisect on
-    it instead.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)

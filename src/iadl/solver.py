@@ -5,7 +5,8 @@ a quadratic majorizer of the Frobenius loss, then a projection. The
 coefficient block steps S against D and projects each row onto its
 weighted-l1 ball; the dictionary block takes the same step on the
 transposed problem, D^T against S^T, and projects every atom onto its ball
-in one call. So the recorded objective never increases. It is read off the
+in one call. So the recorded objective does not increase while each anchor
+lies in the balls it defines (see ``_coefficient_step``). It is read off the
 products X S^T and S S^T that the dictionary step forms, and evaluated
 directly only when it is too small for that expansion.
 """
@@ -102,11 +103,12 @@ def _block_step(cross, gram, anchor, project):
 def _coefficient_step(xv, dv, sv, epsilon: float, project):
     """The block step of S against D, then ``project(a, weights)`` onto the
     caller's weighted-l1 ball; returns the result and those weights."""
-    # Weights come from the surrogate anchor (the previous iterate), which
-    # keeps the anchor feasible for the ball it defines; that is what makes
-    # the objective non-increasing. Reweighting from the post-gradient
-    # matrix moves the constraint set away from the anchor and breaks
-    # monotonicity.
+    # Weights come from the surrogate anchor (the previous iterate). The
+    # objective is non-increasing while the anchor lies in the ball its
+    # weights define, sum |s| / (|s| + epsilon) <= phi; an entry entering
+    # the support near epsilon can break that. Reweighting from the
+    # post-gradient matrix moves the constraint set away from the anchor
+    # and breaks monotonicity.
     weights = compute_weights(sv, epsilon)
     return _block_step(dv.T @ xv, dv.T @ dv, sv, lambda a: project(a, weights)), weights
 

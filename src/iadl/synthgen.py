@@ -35,6 +35,9 @@ ARTIFACT_SUPERGAUSSIAN = "artifact_supergaussian"
 BRAIN_KINDS = (TASK, TRANSIENT)
 ARTIFACT_KINDS = (ARTIFACT_SUBGAUSSIAN, ARTIFACT_GAUSSIAN, ARTIFACT_SUPERGAUSSIAN)
 
+# Chance of a spontaneous event in each sample of a transient time course.
+_EVENT_RATE = 0.04
+
 
 @dataclass(frozen=True)
 class SyntheticSourceSpec:
@@ -132,12 +135,10 @@ def generate_artifact_pair(kind: str, sparsity: float, n_times: int, n_voxels: i
     return course, spatial
 
 
-def transient_time_course(
-    n_times: int, tr: float, hrf_params: TwoGammaParams, rng, event_rate: float = 0.04
-) -> np.ndarray:
+def transient_time_course(n_times: int, tr: float, hrf_params: TwoGammaParams, rng) -> np.ndarray:
     """Spontaneous activity: a sparse event train convolved with the
     subject response, unit peak."""
-    events = (rng.random(n_times) < event_rate).astype(np.float64)
+    events = (rng.random(n_times) < _EVENT_RATE).astype(np.float64)
     if not events.any():
         events[int(rng.integers(n_times))] = 1.0
     return task_time_course(events, hrf_curve(hrf_params, tr))

@@ -35,8 +35,7 @@ def unfiltered_breakpoint_scan(v, w, phi):
     """Row projection by one sorted scan of all breakpoints ``|v| / w``.
 
     The scan without the Michelot filter, kept as the bit-exact reference
-    for the filtered one: rows must violate their radius, phi > 0, and the
-    weights must stay within the breakpoint path's ratio limit.
+    for the filtered one: rows must violate their radius and phi > 0.
     """
     v, w, phi = (np.asarray(a, dtype=float) for a in (v, w, phi))
     mags = np.abs(v)

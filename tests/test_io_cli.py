@@ -246,6 +246,19 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_rejects_config_init_seed(tmp_path, capsys):
+    # the start is seeded by the top-level seed; a seed under init would be
+    # silently overwritten, so the config is refused
+    config = tmp_path / "c.yaml"
+    config.write_text("k: 2\nsparsity:\n  phi: [12, 30]\ninit:\n  rng_seed: 12345\n")
+    code = main(["init", "--config", str(config), "--data", str(tmp_path),
+                 "--out", str(tmp_path / "init")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(config) in err and "init.rng_seed" in err and "'seed'" in err
+
+
 def test_cli_rejects_theta_outside_percent_range(tmp_path, rng, capsys):
     data = tmp_path / "data"
     data.mkdir()

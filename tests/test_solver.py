@@ -301,6 +301,72 @@ def test_run_iadl_monotone_objective_and_feasible(rng):
         assert np.all(res.trace.constraint_violation_max <= 1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(2, 24),
+    n=st.integers(2, 80),
+    k=st.integers(1, 8),
+    m_share=st.floats(0.0, 1.0),
+    rank=st.integers(1, 8),
+    noise=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    c_delta=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    a=st.integers(-30, 30),
+    iters=st.integers(1, 30),
+)
+@example(seed=1, t=12, n=40, k=4, m_share=0.5, rank=3, noise=0.0, c_delta=0.5, a=0, iters=30)
+@example(seed=2, t=12, n=40, k=8, m_share=0.25, rank=2, noise=0.1, c_delta=0.5, a=0, iters=30)
+@example(seed=3, t=12, n=40, k=4, m_share=1.0, rank=4, noise=0.1, c_delta=0.5, a=0, iters=30)
+@example(seed=4, t=12, n=40, k=4, m_share=0.5, rank=4, noise=0.1, c_delta=0.0, a=0, iters=30)
+@example(seed=5, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=30, iters=30)
+@example(seed=6, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=-30, iters=30)
+# S near 1e7 gives rows with weights near 1e-7 and 1e6; scaling such a row
+# back onto its sphere moved its large entry and raised the objective
+@example(seed=0, t=2, n=2, k=1, m_share=0.0, rank=1, noise=0.5, c_delta=0.0, a=23, iters=5)
+def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
+    seed, t, n, k, m_share, rank, noise, c_delta, a, iters
+):
+    # Small random solves from a start inside its balls: noise-free data, K
+    # above the data rank, M = 0 and M = K, pinned assisted atoms
+    # (c_delta = 0), and X and S scaled by 2^a. At a = 30 the weights
+    # 1 / (|s| + epsilon) span past 1e15 within a row. The solve runs one
+    # iteration at a time, so each step's anchor can be inspected.
+    rng = np.random.default_rng(seed)
+    m = int(round(m_share * k))
+    scale = 2.0**a
+    rank = min(rank, t)
+    x = rng.standard_normal((t, rank)) @ (
+        rng.standard_normal((rank, n)) * (rng.random((rank, n)) < 0.3)
+    )
+    x = scale * (x + noise * rng.standard_normal((t, n)))
+    delta = TaskTimeCourses(rng.standard_normal((t, m)))
+    d = Dictionary(oracle_ball_columns(rng.standard_normal((t, k)), delta.values, c_delta, 1.0), m)
+    s = CoefficientMatrix(scale * rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.4))
+    # sum_j |s_j| / (|s_j| + epsilon) is below the support size, so budgets
+    # at or above it put the start inside the balls its weights define
+    support = np.count_nonzero(s.values, axis=1)
+    spec = ConstraintSpec(phi=np.minimum(support * rng.uniform(1.0, 2.0, k), n), c_delta=c_delta)
+    radius = max(float(spec.phi.max()), c_delta, spec.c_d)
+    x_sq = float(np.sum(x**2))
+    loss = float(np.sum((x - d.values @ s.values) ** 2))
+    cfg = SolverConfig(max_iters=1, rel_obj_tol=0.0)
+    for _ in range(iters):
+        # the step majorizes the loss at an anchor inside the ball its own
+        # weights define; an iterate can leave it when an entry enters the
+        # support at a magnitude near epsilon, and the objective may then rise
+        own = np.einsum("ij,ij->i", compute_weights(s.values, spec.epsilon), np.abs(s.values))
+        inside = bool(np.all(own <= spec.phi))
+        res = run_iadl(DataMatrix(x), d, s, delta, spec, cfg)
+        d, s = res.dictionary, res.coefficients
+        assert res.trace.constraint_violation_max[0] <= 1e-9 * radius
+        # the loss read off the step's products is exact to a few eps times
+        # its terms ||X||^2 and <D^T D, S S^T> <= ||D||^2 ||S||^2
+        floor = 1e-13 * (x_sq + float(np.sum(d.values**2) * np.sum(s.values**2)))
+        if inside:
+            assert res.trace.objective[0] <= loss * (1 + 1e-9) + floor
+        loss = res.trace.objective[0]
+
+
 def test_run_iadl_zero_start_and_zero_atoms_take_the_scale_floor(rng):
     # From an all-zero S the weights are 1/epsilon.
     # - With an all-zero start dictionary both Gram matrices of the first
