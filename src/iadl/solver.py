@@ -28,10 +28,13 @@ _SCALE_MARGIN = 1.01
 # update degenerates to a copy instead of dividing by zero.
 _SCALE_FLOOR = 1e-12
 
-# The loss read off the dictionary step's products cancels against ||X||^2,
-# leaving an absolute error near 2e-15 ||X||^2 (measured on the mini and full
-# recipes at 10 to 120 dB). Below this share of ||X||^2, where that error
-# would pass 2e-11 relative, the loss is evaluated directly instead.
+# The loss read off the dictionary step's products cancels, leaving an
+# absolute error of a few eps times the magnitudes of its terms,
+# ||X||^2 + 2<|D|, |X S^T|> + <|D^T D|, |S S^T|> (measured near
+# 2e-15 ||X||^2 on the mini and full recipes at 10 to 120 dB). Below this
+# share of that scale, where the error would pass 2e-11 relative, the loss is
+# evaluated directly instead; comparing with ||X||^2 alone would keep the
+# rounding of a model far larger than the data.
 _EXPANDED_LOSS_FLOOR = 1e-4
 
 
@@ -132,9 +135,15 @@ def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
 def _loss(xv, x_sq: float, dv, sv, xs, gram) -> float:
     """||X - DS||^2 as ||X||^2 - 2<D, X S^T> + <D^T D, S S^T>, from the
     products ``xs = X S^T`` and ``gram = S S^T``; directly when that
-    expansion is too small to keep its digits."""
-    loss = x_sq - 2.0 * float(np.vdot(dv, xs)) + float(np.vdot(dv.T @ dv, gram))
-    if loss < _EXPANDED_LOSS_FLOOR * x_sq:
+    expansion is too small against its terms to keep its digits."""
+    dtd = dv.T @ dv
+    loss = x_sq - 2.0 * float(np.vdot(dv, xs)) + float(np.vdot(dtd, gram))
+    scale = (
+        x_sq
+        + 2.0 * float(np.vdot(np.abs(dv), np.abs(xs)))
+        + float(np.vdot(np.abs(dtd), np.abs(gram)))
+    )
+    if loss < _EXPANDED_LOSS_FLOOR * scale:
         return float(np.linalg.norm(xv - dv @ sv) ** 2)
     return loss
 
@@ -175,8 +184,8 @@ def run_iadl(
     iteration; constraint penalties never enter it. It is computed as
     ||X||^2 - 2<D, X S^T> + <D^T D, S S^T> from the dictionary step's
     products, with ||X||^2 taken once per solve, and directly as
-    ||X - DS||^2 when it falls below a small share of ||X||^2, where the
-    expansion cancels.
+    ||X - DS||^2 when it falls below a small share of the magnitudes of
+    those terms, where the expansion cancels.
     """
     _check_shapes(x, d0, s0, spec, delta)
     xv = x.values

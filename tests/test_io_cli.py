@@ -1,8 +1,12 @@
 import json
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iadl.cli import main
 from iadl.io import (
@@ -107,6 +111,58 @@ def test_trailing_bytes_rejected(tmp_path, rng):
 def test_non_finite_values_rejected(tmp_path):
     with pytest.raises(MatrixFileError):
         save_matrix(np.array([[1.0, np.nan]]), tmp_path / "m.iadl")
+
+
+# Container layout: magic (4 bytes), version (uint16 at byte 4), rows and
+# columns (uint32 at bytes 6 and 10), then the float64 payload at byte 14.
+_HEADER_BYTES = 14
+
+
+@st.composite
+def mutated_matrix_files(draw):
+    """A saved matrix's bytes with one mutation, and the array the mutated
+    file still describes (None when it describes none)."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    raw = bytearray(struct.pack("<4sHII", b"IADL", 1, rows, cols) + values.tobytes())
+    kind = draw(st.sampled_from(["truncate", "version", "shape", "non_finite"]))
+    expected = None
+    if kind == "truncate":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif kind == "version":
+        version = st.one_of(st.integers(0, 8), st.integers(0, 2**16 - 1)).filter(lambda v: v != 1)
+        struct.pack_into("<H", raw, 4, draw(version))
+    elif kind == "shape":
+        count = st.one_of(st.integers(0, 30), st.integers(0, 2**32 - 1))
+        r, c = draw(count), draw(count)
+        struct.pack_into("<II", raw, 6, r, c)
+        if r * c == values.size:
+            expected = values.reshape(r, c)
+    else:
+        where = _HEADER_BYTES + 8 * draw(st.integers(0, values.size - 1))
+        struct.pack_into("<d", raw, where, draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    return bytes(raw), expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_matrix_files())
+@example((struct.pack("<4sHII", b"IADL", 1, 2**32 - 1, 2**32 - 1) + bytes(8), None))
+@example((struct.pack("<4sHII", b"IADL", 1, 0, 2**32 - 1) + bytes(8), None))
+@example((struct.pack("<4sHII", b"IADL", 1, 1, 1) + struct.pack("<d", -np.inf), None))
+def test_mutated_matrix_file_loads_exactly_or_raises_matrix_file_error(
+    tmp_path_factory, mutated
+):
+    # A mutated file loads to the array its bytes describe (a reshape whose
+    # counts keep the payload size) or fails with a MatrixFileError naming
+    # the file; no other exception escapes.
+    raw, expected = mutated
+    path = tmp_path_factory.mktemp("fuzz") / "m.iadl"
+    path.write_bytes(raw)
+    if expected is None:
+        with pytest.raises(MatrixFileError, match=re.escape(str(path))):
+            load_matrix(path)
+    else:
+        np.testing.assert_array_equal(load_matrix(path), expected)
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -269,6 +325,31 @@ def test_cli_rejects_theta_outside_percent_range(tmp_path, rng, capsys):
                  "--out", str(tmp_path / "fit"), "--blind"])
     assert code == 1
     assert "sparsity percentage 140" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:-3],
+        lambda raw: raw[:4] + struct.pack("<H", 2) + raw[6:],
+        lambda raw: raw[:_HEADER_BYTES] + struct.pack("<d", np.nan) + raw[_HEADER_BYTES + 8:],
+    ],
+    ids=["truncated", "version_2", "nan_payload"],
+)
+def test_cli_fit_names_corrupt_data_file(tmp_path, rng, capsys, corrupt):
+    data = tmp_path / "data"
+    data.mkdir()
+    x_path = data / "x.iadl"
+    save_matrix(rng.standard_normal((20, 30)), x_path)
+    x_path.write_bytes(corrupt(x_path.read_bytes()))
+    config = tmp_path / "c.yaml"
+    config.write_text("k: 2\nsparsity:\n  phi: [5, 8]\n")
+    code = main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "fit"), "--blind"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(x_path) in err
 
 
 def test_cli_full_pipeline(tmp_path, mini_config_path, capsys):

@@ -437,6 +437,24 @@ def test_run_iadl_objective_equals_residual_of_returned_factors(rng):
             assert last == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
+def test_run_iadl_objective_is_direct_loss_when_the_model_outweighs_the_data(rng):
+    # With X = 0, or X tiny against DS, the fit shrinks DS until the loss is
+    # far below the terms of its expansion, <D^T D, S S^T> and 2<D, X S^T>,
+    # though not below ||X||^2 times the floor; the recorded objective must
+    # still be the loss, not the rounding of those terms.
+    t, n, k, m = 11, 6, 5, 2
+    delta = TaskTimeCourses(rng.standard_normal((t, m)))
+    d = Dictionary(oracle_ball_columns(rng.standard_normal((t, k)), delta.values, 0.5, 1.0), m)
+    s = CoefficientMatrix(rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.6))
+    spec = ConstraintSpec(phi=np.full(k, 4.0), c_delta=0.5)
+    for x in (np.zeros((t, n)), 1e-9 * rng.standard_normal((t, n))):
+        for iters in (1, 200, 1000):
+            cfg = SolverConfig(max_iters=iters, rel_obj_tol=0.0)
+            res = run_iadl(DataMatrix(x), d, s, delta, spec, cfg)
+            direct = float(np.sum((x - res.dictionary.values @ res.coefficients.values) ** 2))
+            assert res.trace.objective[-1] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_run_iadl_permutation_equivariance(rng):
     x, d0, s0, delta, spec = make_instance(rng, k=5, m=2)
     cfg = SolverConfig(max_iters=25, rel_obj_tol=0.0)

@@ -1,9 +1,18 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kurtosis
 
+from iadl import synthgen
 from iadl.synthgen import (
     ARTIFACT_GAUSSIAN,
+    ARTIFACT_KINDS,
     ARTIFACT_SUBGAUSSIAN,
     ARTIFACT_SUPERGAUSSIAN,
     MINI_SPECS,
@@ -103,9 +112,75 @@ def test_assemble_zero_db_power_match(rng):
     assert p_signal / p_noise == pytest.approx(1.0, rel=0.02)
 
 
+@st.composite
+def small_recipes(draw):
+    """A few transient and artifact sources on a small grid (all voxels
+    reachable by the blobs), or None for the mini recipe."""
+    if draw(st.booleans()):
+        return None
+    h, w = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    n_sources = draw(st.integers(1, 4))
+    specs = []
+    for _ in range(n_sources):
+        if draw(st.booleans()):
+            center = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)))
+            specs.append(blob_spec(draw(st.floats(0.0, 95.0)), (center,), radius=3.0))
+        else:
+            specs.append(SyntheticSourceSpec(draw(st.sampled_from(ARTIFACT_KINDS)),
+                                             draw(st.floats(0.0, 100.0))))
+    return specs, (h, w), draw(st.integers(8, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-20.0, 60.0), recipe=small_recipes())
+@example(seed=0, snr_db=-20.0, recipe=None)
+@example(seed=0, snr_db=60.0, recipe=None)
+def test_realized_noise_power_meets_target(seed, snr_db, recipe):
+    # The calibration is measured on the returned data: mean((x - clean)^2)
+    # meets signal power * 10^(-snr/10) to rounding.
+    rng = np.random.default_rng(seed)
+    if recipe is None:
+        ds = mini_benchmark(rng, snr_db=snr_db)
+    else:
+        specs, grid, n_times = recipe
+        ds = assemble_dataset(specs, grid, n_times, 2.0, canonical_params(), snr_db, rng)
+    clean = ds.truth.clean_signal()
+    target = np.mean(clean**2) * 10.0 ** (-snr_db / 10.0)
+    if target == 0.0:
+        assert ds.noise_sigma == 0.0
+        np.testing.assert_array_equal(ds.x.values, clean)
+        return
+    assert ds.noise_sigma > 0.0
+    realized = np.mean((ds.x.values - clean) ** 2)
+    assert abs(realized - target) <= 1e-10 * target
+
+
+def test_assemble_all_zero_signal_gets_no_noise(rng):
+    # fully sparse artifacts give an all-zero clean signal: at a finite SNR
+    # the target noise power is 0, so sigma is 0 and the data is the signal
+    specs = [SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 100.0)] * 2
+    ds = assemble_dataset(specs, (6, 7), 20, 2.0, canonical_params(), 10.0, rng)
+    assert not ds.truth.clean_signal().any()
+    assert ds.noise_sigma == 0.0
+    np.testing.assert_array_equal(ds.x.values, ds.truth.clean_signal())
+
+
+def test_noise_calibration_that_does_not_settle_raises(rng, monkeypatch):
+    # the mini recipe needs 4 evaluations of the realized power at 10 dB
+    monkeypatch.setattr(synthgen, "_MAX_POWER_EVALS", 2)
+    with pytest.raises(RuntimeError, match="did not converge in 2 evaluations"):
+        mini_benchmark(rng)
+
+
 def test_assemble_rejects_nan_snr(rng):
     with pytest.raises(ValueError):
         assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, canonical_params(), float("nan"), rng)
+
+
+def test_assemble_rejects_minus_inf_snr(rng):
+    # an infinite noise power has no sigma to calibrate
+    with pytest.raises(ValueError, match=r"real number or \+inf"):
+        assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, canonical_params(), -np.inf, rng)
 
 
 def test_clean_signal_reconstructs_exactly(rng):
@@ -119,6 +194,28 @@ def test_mini_benchmark_deterministic():
     b = mini_benchmark(np.random.default_rng(33))
     np.testing.assert_array_equal(a.x.values, b.x.values)
     np.testing.assert_array_equal(a.truth.spatial_maps, b.truth.spatial_maps)
+
+
+_MINI_DIGEST = (
+    "import hashlib, numpy as np; from iadl.synthgen import mini_benchmark; "
+    "ds = mini_benchmark(np.random.default_rng(33)); "
+    "print(hashlib.sha256(ds.x.values.tobytes()).hexdigest(), repr(ds.noise_sigma))"
+)
+
+
+def test_mini_benchmark_identical_across_blas_threads():
+    # the calibration sums with NumPy's pairwise reduction, not a BLAS
+    # product, so the thread count cannot change the data
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", _MINI_DIGEST], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        digests.add(out.strip())
+    here = mini_benchmark(np.random.default_rng(33))
+    digests.add(f"{hashlib.sha256(here.x.values.tobytes()).hexdigest()} {here.noise_sigma!r}")
+    assert len(digests) == 1
 
 
 def test_mini_benchmark_task_overlap(rng):
