@@ -99,13 +99,7 @@ def _resolve_c_delta(config) -> float:
     if config.c_delta != "auto":
         return float(config.c_delta)
     ds = config.dataset
-    return estimate_c_delta(
-        config.resolved_conditions(),
-        ds.n_times,
-        ds.tr,
-        reference=canonical_params(),
-        alternate=config.alternate_hrf(),
-    )
+    return estimate_c_delta(config.resolved_conditions(), ds.n_times, ds.tr)
 
 
 def _load_fit_inputs(config, data_dir, blind):
@@ -124,21 +118,34 @@ def _load_fit_inputs(config, data_dir, blind):
     return x, delta, spec
 
 
-def _write_init_bundle(out, d0, s0):
-    iadl_io.save_matrix(d0.values, out / "init_dict.iadl")
-    iadl_io.save_matrix(s0.values, out / "init_coef.iadl")
-
-
 def cmd_init(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
     d0, s0 = initialize(x, config.k, delta, spec, config.init)
-    _write_init_bundle(out, d0, s0)
-    iadl_io.write_manifest(out, ["init_dict.iadl", "init_coef.iadl"])
+    iadl_io.save_matrix(d0.values, out / "init_dict.iadl")
+    iadl_io.save_matrix(s0.values, out / "init_coef.iadl")
+    iadl_io.write_manifest(
+        out,
+        ["init_dict.iadl", "init_coef.iadl"],
+        extra={"data_checksum": iadl_io.sha256_file(Path(args.data) / "x.iadl")},
+    )
     print(f"wrote starting point to {out}")
     return 0
+
+
+def _load_start(init_dir, data_checksum, delta):
+    """The start ``iadl init`` saved, exactly as saved; refused if a file
+    changed since or it was computed from other data."""
+    iadl_io.verify_manifest(init_dir)
+    manifest = iadl_io.read_json_object(init_dir / "manifest.json", ["data_checksum"])
+    if manifest["data_checksum"] != data_checksum:
+        raise ValueError(f"{init_dir}: start was computed from different data")
+    d0 = Dictionary(
+        iadl_io.load_matrix(init_dir / "init_dict.iadl"), assisted_count=delta.n_courses
+    )
+    return d0, CoefficientMatrix(iadl_io.load_matrix(init_dir / "init_coef.iadl"))
 
 
 def cmd_fit(args) -> int:
@@ -146,16 +153,11 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
-
-    d_start = s_start = None
+    data_checksum = iadl_io.sha256_file(Path(args.data) / "x.iadl")
     if args.init_dir:
-        init_dir = Path(args.init_dir)
-        d_start = Dictionary(
-            iadl_io.load_matrix(init_dir / "init_dict.iadl"),
-            assisted_count=delta.n_courses,
-        )
-        s_start = CoefficientMatrix(iadl_io.load_matrix(init_dir / "init_coef.iadl"))
-    d0, s0 = initialize(x, config.k, delta, spec, config.init, d0=d_start, s0=s_start)
+        d0, s0 = _load_start(Path(args.init_dir), data_checksum, delta)
+    else:
+        d0, s0 = initialize(x, config.k, delta, spec, config.init)
 
     result = run_iadl(x, d0, s0, delta, spec, config.solver)
 
@@ -183,7 +185,7 @@ def cmd_fit(args) -> int:
         "iterations_run": trace.iterations_run,
         "stop_reason": trace.stop_reason,
         "final_objective": float(trace.objective[-1]),
-        "data_checksum": iadl_io.sha256_file(Path(args.data) / "x.iadl"),
+        "data_checksum": data_checksum,
     }
     (out / "resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
     iadl_io.write_manifest(

@@ -5,8 +5,8 @@ feasible under its own reweighting.
 
 The ICA stage is a self-contained symmetric fixed-point iteration (tanh
 contrast) on PCA-whitened data, so the initializer carries no external
-dependency; any decomposition of comparable quality can be supplied
-through the (d0, s0) escape hatch instead.
+dependency. A start computed once can be reused as it is: ``iadl fit
+--init-dir`` hands the saved pair straight to the solver.
 """
 
 from __future__ import annotations
@@ -26,21 +26,22 @@ from .solver import _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
+# ICA stops after this many fixed-point iterations, or once no unmixing row
+# moves by more than the tolerance; components whose time courses correlate
+# beyond the threshold are merged.
+_ICA_MAX_ITERS = 400
+_ICA_TOL = 1e-7
+_MERGE_CORR_THRESHOLD = 0.95
+
+
 @dataclass(frozen=True)
 class InitConfig:
-    ica_max_iters: int = 400
-    ica_tol: float = 1e-7
-    merge_corr_threshold: float = 0.95
     refine_iters: int = 10
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.merge_corr_threshold <= 1:
-            raise ValueError("merge threshold must lie in (0, 1]")
-        if self.ica_max_iters < 1 or self.refine_iters < 0:
-            raise ValueError("iteration counts must be positive")
-        if self.ica_tol <= 0:
-            raise ValueError("ica_tol must be positive")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be non-negative")
 
 
 def _sym_decorrelate(w):
@@ -95,14 +96,14 @@ def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
     rng = np.random.default_rng(cfg.rng_seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
-    for _ in range(cfg.ica_max_iters):
+    for _ in range(_ICA_MAX_ITERS):
         wz = w @ z
         g = np.tanh(wz)
         w_new = (g @ z.T) / n - np.diag(np.mean(1.0 - g**2, axis=1)) @ w
         w_new = _sym_decorrelate(w_new)
         drift = float(np.max(1.0 - np.abs(np.diag(w_new @ w.T))))
         w = w_new
-        if drift < cfg.ica_tol:
+        if drift < _ICA_TOL:
             converged = True
             break
     if not converged:
@@ -110,7 +111,7 @@ def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
 
     s = w @ z
     d = (evecs * np.sqrt(evals)) @ w.T
-    d, s = merge_correlated(d, s, cfg.merge_corr_threshold)
+    d, s = merge_correlated(d, s, _MERGE_CORR_THRESHOLD)
     return Dictionary(d), CoefficientMatrix(s)
 
 
@@ -219,45 +220,40 @@ def _cut_to_budget(s, phi, epsilon):
         budget[bad] = row_limit[bad] - (norms[bad] - kept)
 
 
+def _feasible_start(s, phi, epsilon):
+    """One exact row projection under the weights of ``s``, then the cut.
+
+    The projection does the bulk of the shrinkage; its survivors then weigh
+    more under their own weights, and the cut trims each row that still
+    exceeds its budget.
+    """
+    projected = project_weighted_l1_rows(s, compute_weights(s, epsilon), phi)
+    return _cut_to_budget(projected, phi, epsilon)
+
+
 def initialize(
     x: DataMatrix,
     k: int,
     delta: TaskTimeCourses,
     spec: ConstraintSpec,
     cfg: InitConfig = InitConfig(),
-    d0: Dictionary | None = None,
-    s0: CoefficientMatrix | None = None,
 ):
-    """Full pipeline; supplying (d0, s0) skips the ICA and alignment steps.
+    """Full pipeline: ICA, alignment, refinement, ordering, feasible start.
 
     Components lost to merging are replaced with fresh unit-norm atoms
     carrying empty maps, so the output is always T x k / k x N.
     """
-    if (d0 is None) != (s0 is None):
-        raise ValueError("supply both d0 and s0 or neither")
-    if d0 is not None:
-        if d0.values.shape != (x.n_times, k) or s0.values.shape != (k, x.n_voxels):
-            raise ValueError("supplied starting point has wrong shape")
-        dbar, sbar = Dictionary(d0.values, assisted_count=delta.n_courses), s0
-    else:
-        dbar, sbar = ica_decompose(x, k, cfg)
-        if dbar.n_atoms < k:
-            rng = np.random.default_rng(cfg.rng_seed + 1)
-            extra = k - dbar.n_atoms
-            atoms = rng.standard_normal((x.n_times, extra))
-            atoms /= np.linalg.norm(atoms, axis=0)
-            dbar = Dictionary(np.hstack([dbar.values, atoms]))
-            sbar = CoefficientMatrix(
-                np.vstack([sbar.values, np.zeros((extra, x.n_voxels))])
-            )
-        dbar, sbar = align_assisted(dbar, sbar, delta)
+    dbar, sbar = ica_decompose(x, k, cfg)
+    if dbar.n_atoms < k:
+        rng = np.random.default_rng(cfg.rng_seed + 1)
+        extra = k - dbar.n_atoms
+        atoms = rng.standard_normal((x.n_times, extra))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        dbar = Dictionary(np.hstack([dbar.values, atoms]))
+        sbar = CoefficientMatrix(np.vstack([sbar.values, np.zeros((extra, x.n_voxels))]))
+    dbar, sbar = align_assisted(dbar, sbar, delta)
     d_ref, s_ref = refine_full_sparsity(x, dbar, sbar, delta, spec, cfg)
     d_out, s_out = order_by_sparsity(d_ref, s_ref, delta.n_courses)
-    # Hand the solver a start that satisfies the row budgets under its own
-    # weights. The matrix-ball refinement does not enforce per-row budgets,
-    # so one exact row projection under the start's weights does the bulk
-    # of the shrinkage; its survivors then weigh more under their own
-    # weights, and the cut trims each row that still exceeds its budget.
-    sv = s_out.values
-    projected = project_weighted_l1_rows(sv, compute_weights(sv, spec.epsilon), spec.phi)
-    return d_out, CoefficientMatrix(_cut_to_budget(projected, spec.phi, spec.epsilon))
+    # The matrix-ball refinement does not enforce per-row budgets; hand the
+    # solver a start that satisfies them under its own weights.
+    return d_out, CoefficientMatrix(_feasible_start(s_out.values, spec.phi, spec.epsilon))

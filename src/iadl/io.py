@@ -1,11 +1,12 @@
 """File formats, experiment configuration, and artifact manifests.
 
-Matrices travel in a small binary container (magic ``IADL``, version, row
-and column counts, little-endian float64 payload) with a comma-separated
-text alternative selected by the ``.csv`` extension. Experiment configs
-are YAML documents validated into typed objects; every simulated or
-fitted artifact directory carries a manifest with content checksums so
-mismatched truth/fit pairs are refused at evaluation time.
+Matrices travel in one format, a small checked binary container (magic
+``IADL``, version, row and column counts, little-endian float64 payload),
+whatever the file's extension. Experiment configs are YAML documents
+validated into typed objects; a key the schema does not know is refused.
+Every simulated, initialized or fitted artifact directory carries a
+manifest with content checksums, so a start or a fit is refused against
+data other than its own.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .hrf import ConditionSpec, TwoGammaParams, default_alternate_hrf, sample_hrf
+from .hrf import ConditionSpec
 from .initializer import InitConfig
 from .solver import SolverConfig
 from .types import phi_from_theta
@@ -36,34 +36,19 @@ class MatrixFileError(ValueError):
 
 
 def save_matrix(values, path) -> None:
-    """Write a matrix; binary container by default, text for ``.csv``."""
+    """Write a matrix in the binary container."""
     path = Path(path)
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise MatrixFileError(f"expected a matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError("refusing to write non-finite values")
-    if path.suffix == ".csv":
-        np.savetxt(path, arr, fmt="%.17g", delimiter=",")
-        return
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1])
     path.write_bytes(header + arr.tobytes(order="C"))
 
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    if path.suffix == ".csv":
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-            except ValueError as err:
-                raise MatrixFileError(f"{path}: {err}") from err
-        if arr.size == 0:
-            raise MatrixFileError(f"{path}: no values")
-        if not np.all(np.isfinite(arr)):
-            raise MatrixFileError(f"{path}: non-finite values")
-        return arr
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise MatrixFileError(f"{path}: truncated header")
@@ -174,8 +159,6 @@ class ExperimentConfig:
     solver: SolverConfig = SolverConfig()
     init: InitConfig = InitConfig()
     dataset: DatasetConfig = DatasetConfig()
-    alternate_hrf_spread: float | None = None
-    alternate_hrf_seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -193,12 +176,6 @@ class ExperimentConfig:
     def resolved_conditions(self) -> tuple:
         """Explicit conditions, else those fixed by the dataset recipe."""
         return self.conditions if self.conditions else self.dataset.conditions
-
-    def alternate_hrf(self) -> TwoGammaParams:
-        if self.alternate_hrf_spread is None:
-            return default_alternate_hrf()
-        rng = np.random.default_rng(self.alternate_hrf_seed)
-        return sample_hrf(rng, self.alternate_hrf_spread)
 
     def resolve_thetas(self) -> np.ndarray:
         """Full-length sparsity percentages.
@@ -232,20 +209,40 @@ class ExperimentConfig:
         return np.array([phi_from_theta(t, n_voxels) for t in self.resolve_thetas()])
 
 
-def _section(raw, key, expected_type=dict):
+_TOP_LEVEL_KEYS = (
+    "seed", "k", "assisted", "sparsity", "c_delta", "c_d", "epsilon", "dataset", "solver", "init",
+)
+_CONDITION_KEYS = ("onsets", "durations", "amplitude")
+
+
+def _refuse_unknown(path, mapping, known, where=""):
+    """A key the schema does not know would leave its setting at the
+    default without a word, so it is refused."""
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"{path}: unknown config key '{where}{key}'")
+
+
+def _section(path, raw, key, known):
     value = raw.get(key)
     if value is None:
         return {}
-    if not isinstance(value, expected_type):
-        raise ValueError(f"config section {key!r} must be a {expected_type.__name__}")
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: config section {key!r} must be a mapping")
+    _refuse_unknown(path, value, known, f"{key}.")
     return value
 
 
-def _build_conditions(entries):
+def _field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+def _build_conditions(path, entries):
     conditions = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "onsets" not in entry or "durations" not in entry:
-            raise ValueError(f"assisted condition {i} needs 'onsets' and 'durations'")
+            raise ValueError(f"{path}: assisted condition {i} needs 'onsets' and 'durations'")
+        _refuse_unknown(path, entry, _CONDITION_KEYS, f"assisted[{i}].")
         conditions.append(
             ConditionSpec(
                 onsets=tuple(entry["onsets"]),
@@ -261,19 +258,19 @@ def load_config(path) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a mapping")
+    _refuse_unknown(path, raw, _TOP_LEVEL_KEYS)
     if "k" not in raw:
         raise ValueError(f"{path}: missing required key 'k'")
 
-    sparsity = _section(raw, "sparsity")
+    sparsity = _section(path, raw, "sparsity", ("theta", "phi"))
     thetas = sparsity.get("theta")
     phis = sparsity.get("phi")
 
-    solver_kwargs = _section(raw, "solver")
-    init_kwargs = _section(raw, "init")
+    solver_kwargs = _section(path, raw, "solver", _field_names(SolverConfig))
+    init_kwargs = _section(path, raw, "init", _field_names(InitConfig))
     if "rng_seed" in init_kwargs:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
-    dataset_kwargs = _section(raw, "dataset")
-    alt = _section(raw, "alternate_hrf")
+    dataset_kwargs = _section(path, raw, "dataset", _field_names(DatasetConfig))
 
     assisted = raw.get("assisted", [])
     if not isinstance(assisted, list):
@@ -283,7 +280,7 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig(
             k=int(raw["k"]),
             seed=int(raw.get("seed", 0)),
-            conditions=_build_conditions(assisted),
+            conditions=_build_conditions(path, assisted),
             thetas=tuple(thetas) if thetas is not None else None,
             phis=tuple(phis) if phis is not None else None,
             c_delta=raw.get("c_delta", "auto"),
@@ -292,8 +289,6 @@ def load_config(path) -> ExperimentConfig:
             solver=SolverConfig(**solver_kwargs),
             init=InitConfig(**init_kwargs),
             dataset=DatasetConfig(**dataset_kwargs),
-            alternate_hrf_spread=alt.get("spread"),
-            alternate_hrf_seed=int(alt.get("seed", 0)),
         )
     except TypeError as err:
         raise ValueError(f"{path}: {err}") from err

@@ -9,6 +9,7 @@ from iadl.evaluation import _course_table
 from iadl.initializer import (
     InitConfig,
     _cut_to_budget,
+    _feasible_start,
     align_assisted,
     ica_decompose,
     initialize,
@@ -38,9 +39,13 @@ def best_abs_corr(est_maps, true_map):
 
 def test_ica_recovers_two_source_toy(rng):
     s_true = laplace_sources(rng, 2, 6000)
-    x = DataMatrix(np.eye(2) @ s_true)
-    # two-sample time courses always correlate at |1|: disable merging
-    d, s = ica_decompose(x, 2, InitConfig(rng_seed=3, merge_corr_threshold=1.0))
+    # four time points; the mixing courses correlate at about -0.53 once
+    # centred, well below the merge threshold, so both components come back
+    mixing = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5], [-1.0, 0.5]])
+    assert abs(pair_pearson(mixing[:, 0], mixing[:, 1])) < 0.6
+    x = DataMatrix(mixing @ s_true)
+    d, s = ica_decompose(x, 2, InitConfig(rng_seed=3))
+    assert d.values.shape == (4, 2)
     assert s.values.shape == (2, 6000)
     for i in range(2):
         assert best_abs_corr(s.values, s_true[i]) >= 0.99
@@ -342,23 +347,6 @@ def test_pipeline_deterministic(rng):
     np.testing.assert_array_equal(a[1].values, b[1].values)
 
 
-def test_pipeline_escape_hatch_skips_ica(rng):
-    t, n, k = 12, 80, 3
-    x = DataMatrix(rng.standard_normal((t, n)))
-    delta = TaskTimeCourses(rng.standard_normal((t, 1)))
-    spec = ConstraintSpec(phi=np.full(k, 20.0), c_delta=1.0)
-    d0 = Dictionary(rng.standard_normal((t, k)))
-    s0 = CoefficientMatrix(rng.standard_normal((k, n)))
-    d_out, s_out = initialize(x, k, delta, spec, InitConfig(refine_iters=2), d0=d0, s0=s0)
-    assert d_out.values.shape == (t, k)
-    with pytest.raises(ValueError):
-        initialize(x, k, delta, spec, d0=d0, s0=None)
-    narrow = CoefficientMatrix(rng.standard_normal((k, n - 5)))
-    for refine_iters in (0, 2):
-        with pytest.raises(ValueError, match="wrong shape"):
-            initialize(x, k, delta, spec, InitConfig(refine_iters=refine_iters), d0=d0, s0=narrow)
-
-
 # -- start feasibility -------------------------------------------------------------
 
 
@@ -366,26 +354,15 @@ def own_weight_norms(s, epsilon):
     return np.einsum("ij,ij->i", compute_weights(s, epsilon), np.abs(s))
 
 
-def check_projected_and_cut(s0, phi, m=0, epsilon=1e-6):
-    """Run initialize through the escape hatch with no refinement, so its
-    start is one row projection of the (sparsity-ordered) supplied maps
-    followed by the cut, and check that start against that projection."""
-    k, n = s0.shape
-    t = 3
-    x = DataMatrix(np.ones((t, n)))
-    delta = TaskTimeCourses(np.linspace(-1.0, 1.0, t)[:, None][:, :m])
-    d0 = Dictionary(np.eye(t, k) + 0.5)
-    spec = ConstraintSpec(phi=phi, c_delta=1.0, epsilon=epsilon)
-    cfg = InitConfig(refine_iters=0)
+def check_projected_and_cut(s0, phi, epsilon=1e-6):
+    """Run the initializer's last step, one row projection of ``s0``
+    followed by the cut, and check its start against that projection."""
+    k = s0.shape[0]
+    out = _feasible_start(s0, phi, epsilon)
+    again = _feasible_start(s0, phi, epsilon)
+    np.testing.assert_array_equal(out.view(np.int64), again.view(np.int64))
 
-    def run():
-        return initialize(x, k, delta, spec, cfg, d0=d0, s0=CoefficientMatrix(s0))[1].values
-
-    out = run()
-    np.testing.assert_array_equal(out.view(np.int64), run().view(np.int64))
-
-    _, s_ord = order_by_sparsity(Dictionary(d0.values, assisted_count=m), CoefficientMatrix(s0), m)
-    proj = project_weighted_l1_rows(s_ord.values, compute_weights(s_ord.values, epsilon), phi)
+    proj = project_weighted_l1_rows(s0, compute_weights(s0, epsilon), phi)
     assert np.all(own_weight_norms(out, epsilon) <= phi + 1e-10)
 
     # The cut only zeroes: every survivor is bit-identical to the projection.
@@ -436,15 +413,14 @@ def start_maps(draw):
             )
         )
     )
-    m = draw(st.integers(0, 1))
-    return s0, phi, m
+    return s0, phi
 
 
 @settings(max_examples=150, deadline=None)
 @given(start_maps())
 def test_start_is_own_weight_feasible_on_adversarial_maps(case):
-    s0, phi, m = case
-    check_projected_and_cut(s0, phi, m)
+    s0, phi = case
+    check_projected_and_cut(s0, phi)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,15 +1,21 @@
 import json
 import re
+import shutil
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iadl.cli import main
+from iadl.initializer import InitConfig
 from iadl.io import (
+    _TOP_LEVEL_KEYS,
+    DatasetConfig,
     ExperimentConfig,
     MatrixFileError,
     load_config,
@@ -20,6 +26,7 @@ from iadl.io import (
     verify_manifest,
     write_manifest,
 )
+from iadl.solver import SolverConfig
 
 MINI_CONFIG = """
 seed: 7
@@ -57,24 +64,14 @@ def test_binary_round_trip_exact(tmp_path, rng):
     np.testing.assert_array_equal(back, m)
 
 
-@pytest.mark.parametrize("shape", [(5, 1), (1, 5), (3, 4)], ids=["5x1", "1x5", "3x4"])
-def test_csv_round_trip(tmp_path, rng, shape):
-    path = tmp_path / "m.csv"
-    path.write_text("1,2\n3,4\n")
-    np.testing.assert_array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
-    m = rng.standard_normal(shape)
-    m.flat[0] = np.pi
-    m.flat[-1] = 1e-17
-    save_matrix(m, path)
-    back = load_matrix(path)
-    assert back.shape == shape
-    np.testing.assert_array_equal(back, m)
-
-
 @pytest.mark.parametrize(
-    "text", ["", "\n\n", "1,2\n3\n", "a,1\n2,3\n"], ids=["empty", "blank", "ragged", "text"]
+    "text",
+    ["", "\n\n", "1,2\n3\n", "a,1\n2,3\n", "1,2\n3,4\n", "1.5,2.25,3\n4,5,6\n7,8,9\n"],
+    ids=["empty", "blank", "ragged", "text", "numeric", "numeric_long"],
 )
 def test_corrupt_csv_rejected(tmp_path, text):
+    # The binary container is the only matrix format, whatever the file's
+    # extension: comma-separated text, well-formed or not, is refused.
     path = tmp_path / "m.csv"
     path.write_text(text)
     with pytest.raises(MatrixFileError, match="m.csv"):
@@ -279,6 +276,54 @@ def test_config_phi_path(tmp_path):
     np.testing.assert_allclose(config.resolve_phis(100), [12.0, 30.0])
 
 
+_PHI_CONFIG = "k: 2\nsparsity:\n  phi: [12, 30]\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (_PHI_CONFIG + "epsilom: 1.0e-3\n", "'epsilom'"),
+        (_PHI_CONFIG + "solvr:\n  max_iters: 3\n", "'solvr'"),
+        (_PHI_CONFIG + "alternate_hrf:\n  spread: 0.3\n  seed: 123\n", "'alternate_hrf'"),
+        ("k: 2\nsparsity:\n  phi: [12, 30]\n  thetas: [95]\n", "'sparsity.thetas'"),
+        (_PHI_CONFIG + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitud: 2\n",
+         "'assisted[0].amplitud'"),
+        (_PHI_CONFIG + "solver:\n  maxiters: 3\n", "'solver.maxiters'"),
+        (_PHI_CONFIG + "init:\n  merge_corr_threshold: 0.95\n", "'init.merge_corr_threshold'"),
+        (_PHI_CONFIG + "dataset:\n  snr: 3.0\n", "'dataset.snr'"),
+    ],
+    ids=["top_level", "section_name", "alternate_hrf", "sparsity", "assisted", "solver",
+         "init", "dataset"],
+)
+def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
+    # a misspelt key would otherwise leave its setting at the default
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key {key}")):
+        load_config(path)
+    assert main(["tune-cdelta", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and key in err
+
+
+def test_readme_config_schema_loads(tmp_path):
+    # The README's schema block goes through the loader, which refuses
+    # unknown keys, so the documented schema cannot drift from the code;
+    # and it shows every key the loader knows.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "schema.yaml"
+    path.write_text(block)
+    config = load_config(path)
+    assert config.k == 8 and config.conditions and config.thetas == (95, 94)
+    documented = yaml.safe_load(block)
+    assert set(documented) == set(_TOP_LEVEL_KEYS)
+    for section, cls in (("solver", SolverConfig), ("init", InitConfig),
+                         ("dataset", DatasetConfig)):
+        assert set(documented[section]) == {f.name for f in fields(cls)} - {"rng_seed"}
+
+
 # -- CLI pipeline -------------------------------------------------------------------
 
 
@@ -415,3 +460,69 @@ def test_cli_simulate_deterministic(tmp_path, mini_config_path):
     assert main(["simulate", "--config", str(mini_config_path), "--out", str(a)]) == 0
     assert main(["simulate", "--config", str(mini_config_path), "--out", str(b)]) == 0
     assert sha256_file(a / "x.iadl") == sha256_file(b / "x.iadl")
+
+
+@pytest.fixture(scope="module")
+def mini_start(tmp_path_factory):
+    """A simulated mini dataset, its config and a start saved by `iadl init`."""
+    root = tmp_path_factory.mktemp("start")
+    config = root / "config.yaml"
+    config.write_text(MINI_CONFIG)
+    data, start = root / "data", root / "start"
+    assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["init", "--config", str(config), "--data", str(data),
+                 "--out", str(start)]) == 0
+    return config, data, start
+
+
+def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
+    config, data, start = mini_start
+    plain, resumed = tmp_path / "plain", tmp_path / "resumed"
+    assert main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(plain)]) == 0
+    assert main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(resumed), "--init-dir", str(start)]) == 0
+    for name in ("fitted_dict.iadl", "fitted_maps.iadl", "trace.csv"):
+        assert (plain / name).read_bytes() == (resumed / name).read_bytes(), name
+
+
+def _tamper_start(tmp_path, start):
+    coef = start / "init_coef.iadl"
+    raw = bytearray(coef.read_bytes())
+    raw[-1] ^= 1
+    coef.write_bytes(bytes(raw))
+    return "init_coef.iadl: checksum mismatch"
+
+
+def _start_on_other_data(tmp_path, start):
+    config = tmp_path / "config.yaml"
+    other = tmp_path / "other"
+    assert main(["simulate", "--config", str(config), "--seed", "99", "--out", str(other)]) == 0
+    assert main(["init", "--config", str(config), "--data", str(other),
+                 "--out", str(start)]) == 0
+    return "start was computed from different data"
+
+
+def _fit_with_other_k(tmp_path, start):
+    # the start keeps its 8 atoms; the config asks for 6
+    (tmp_path / "config.yaml").write_text(MINI_CONFIG.replace("k: 8", "k: 6"))
+    return "one sparsity budget per atom"
+
+
+@pytest.mark.parametrize(
+    "spoil", [_tamper_start, _start_on_other_data, _fit_with_other_k],
+    ids=["tampered", "other_data", "wrong_k"],
+)
+def test_cli_fit_refuses_a_start_that_does_not_fit(tmp_path, capsys, mini_start, spoil):
+    config, data, saved = mini_start
+    start = tmp_path / "start"
+    shutil.copytree(saved, start)
+    shutil.copy(config, tmp_path / "config.yaml")
+    message = spoil(tmp_path, start)
+    capsys.readouterr()
+    code = main(["fit", "--config", str(tmp_path / "config.yaml"), "--data", str(data),
+                 "--out", str(tmp_path / "fit"), "--init-dir", str(start)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err

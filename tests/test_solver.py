@@ -487,3 +487,10 @@ def test_run_iadl_shape_validation(rng):
     bad_delta = TaskTimeCourses(rng.standard_normal((x.n_times, 3)))
     with pytest.raises(ValueError):
         run_iadl(x, d0, s0, bad_delta, spec)
+    # a saved start of the wrong size is refused here (iadl fit --init-dir)
+    narrow = CoefficientMatrix(s0.values[:, :-5])
+    with pytest.raises(ValueError, match="coefficients must be"):
+        run_iadl(x, d0, narrow, delta, spec)
+    short = Dictionary(d0.values[:-1], assisted_count=d0.assisted_count)
+    with pytest.raises(ValueError, match="row count"):
+        run_iadl(x, short, s0, delta, spec)
