@@ -118,6 +118,21 @@ def _load_fit_inputs(config, data_dir, blind):
     return x, delta, spec
 
 
+def _start_settings(config, spec, blind) -> dict:
+    """The resolved settings a start depends on, as its manifest records
+    them."""
+    return {
+        "k": config.k,
+        "phi": [float(v) for v in spec.phi],
+        "epsilon": spec.epsilon,
+        "c_delta": spec.c_delta,
+        "c_d": spec.c_d,
+        "blind": bool(blind),
+        "seed": config.seed,
+        "refine_iters": config.init.refine_iters,
+    }
+
+
 def cmd_init(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
@@ -129,19 +144,31 @@ def cmd_init(args) -> int:
     iadl_io.write_manifest(
         out,
         ["init_dict.iadl", "init_coef.iadl"],
-        extra={"data_checksum": iadl_io.sha256_file(Path(args.data) / "x.iadl")},
+        extra={
+            "data_checksum": iadl_io.sha256_file(Path(args.data) / "x.iadl"),
+            "settings": _start_settings(config, spec, args.blind),
+        },
     )
     print(f"wrote starting point to {out}")
     return 0
 
 
-def _load_start(init_dir, data_checksum, delta):
+def _load_start(init_dir, data_checksum, settings, delta):
     """The start ``iadl init`` saved, exactly as saved; refused if a file
-    changed since or it was computed from other data."""
+    changed since, or it was computed from other data or under other
+    settings."""
     iadl_io.verify_manifest(init_dir)
-    manifest = iadl_io.read_json_object(init_dir / "manifest.json", ["data_checksum"])
+    manifest = iadl_io.read_json_object(
+        init_dir / "manifest.json", ["data_checksum", "settings"]
+    )
     if manifest["data_checksum"] != data_checksum:
         raise ValueError(f"{init_dir}: start was computed from different data")
+    saved = manifest["settings"]
+    if not isinstance(saved, dict):
+        raise ValueError(f"{init_dir / 'manifest.json'}: key 'settings' is not an object")
+    for key, value in settings.items():
+        if saved.get(key) != value:
+            raise ValueError(f"{init_dir}: start was computed with a different {key!r}")
     d0 = Dictionary(
         iadl_io.load_matrix(init_dir / "init_dict.iadl"), assisted_count=delta.n_courses
     )
@@ -155,7 +182,8 @@ def cmd_fit(args) -> int:
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
     data_checksum = iadl_io.sha256_file(Path(args.data) / "x.iadl")
     if args.init_dir:
-        d0, s0 = _load_start(Path(args.init_dir), data_checksum, delta)
+        settings = _start_settings(config, spec, args.blind)
+        d0, s0 = _load_start(Path(args.init_dir), data_checksum, settings, delta)
     else:
         d0, s0 = initialize(x, config.k, delta, spec, config.init)
 

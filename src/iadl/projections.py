@@ -1,4 +1,6 @@
-"""Weighted-l1 machinery and the projection operators used by the solver.
+"""The reweighting and the projection operators of the solver and the
+initializer: weighted-l1 balls per row or over a whole matrix, and
+similarity balls around the task time courses.
 
 All functions are pure; row-wise matrix projections share no mutable state
 and are safe to run in parallel.
@@ -24,16 +26,6 @@ def compute_weights(x, epsilon: float) -> np.ndarray:
     return 1.0 / (np.abs(np.asarray(x, dtype=np.float64)) + epsilon)
 
 
-def weighted_l1_norm(x, w) -> float:
-    """``sum w |x|`` over arrays of equal shape: a vector's weighted-l1 norm,
-    or a matrix's ``sum_ij w_ij |x_ij|``."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.shape != w.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {w.shape}")
-    return float(np.sum(w * np.abs(x)))
-
-
 def _check_weights(w):
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be strictly positive and finite")
@@ -43,7 +35,8 @@ def _project_block(v, w, phi):
     """Project rows that violate a positive radius: Michelot passes drop
     entries at or below a lower bound on the threshold, then a sorted
     breakpoint scan over the survivors finds it exactly, at any spread of
-    the weights."""
+    the weights. Only the survivors are sorted and thresholded; the dropped
+    entries lie below the threshold and stay at +0.0."""
     mags = np.abs(v)
     ratios = mags / w
     wm = w * mags
@@ -62,10 +55,13 @@ def _project_block(v, w, phi):
         bound = (suma * (1.0 - slack) - phi) / (sumb * (1.0 + slack))
         keep = ratios > bound[:, None]
 
-    gamma = np.empty(v.shape[0])
+    out = np.zeros(v.shape)
     for i, survivors in enumerate(keep):
         idx = np.flatnonzero(survivors)
-        order = idx[np.argsort(ratios[i, idx], kind="stable")]
+        # NumPy's default sort: tied breakpoints may come out in another
+        # order than a stable sort gives, which moves the threshold by
+        # rounding only.
+        order = idx[np.argsort(ratios[i, idx])]
         # Suffix sums over the sorted breakpoints; summing from the small
         # end keeps each suffix accurate relative to its own magnitude.
         # Dropped entries precede every survivor in the full sorted order,
@@ -79,15 +75,16 @@ def _project_block(v, w, phi):
         # g = 0, so a hit always exists).
         g = a_after - ratios[i, order] * b_after
         k = np.argmax(g <= phi[i])
-        gamma[i] = (suf_a[k] - phi[i]) / suf_b[k]
-
-    return _shrink(v, w, gamma)
+        gamma = (suf_a[k] - phi[i]) / suf_b[k]
+        out[i, idx] = _shrink(v[i, idx], w[i, idx], gamma)
+    return out
 
 
 def _shrink(v, w, gamma):
-    """Soft-threshold each row of ``v`` at ``gamma[i] * w``: signs are kept
-    and shrunk entries become exact (positive) zeros."""
-    part = np.abs(v) - gamma[:, None] * w
+    """Soft-threshold ``v`` at ``gamma * w`` (``gamma`` broadcast against
+    ``w``): signs are kept and shrunk entries become exact (positive)
+    zeros."""
+    part = np.abs(v) - gamma * w
     return np.where(part > 0.0, np.sign(v) * part, 0.0)
 
 
@@ -100,7 +97,8 @@ def _project_rows(v, w, phi):
     todo = todo[phi[todo] > 0.0]
     if todo.size == 0:
         return out
-    out[todo] = _project_block(v[todo], w[todo], phi[todo])
+    wt, pt = w[todo], phi[todo]
+    block = _project_block(v[todo], wt, pt)
 
     # Survivors |v| - gamma * w keep only the low bits of |v| when the
     # weights dwarf the radius, so a row can round past phi by far more than
@@ -108,12 +106,14 @@ def _project_rows(v, w, phi):
     # survivors takes the excess off them in proportion to their weights and
     # leaves large entries with small weights in place; a row still past phi
     # (survivors too small to shift) is then scaled back onto its sphere.
-    over = todo[np.einsum("ij,ij->i", w[todo], np.abs(out[todo])) > phi[todo]]
-    rows, wo, po = out[over], w[over], phi[over]
-    excess = np.einsum("ij,ij->i", wo, np.abs(rows)) - po
-    rows = _shrink(rows, wo, excess / np.einsum("ij,ij->i", wo * wo, rows != 0.0))
+    norms = np.einsum("ij,ij->i", wt, np.abs(block))
+    over = np.flatnonzero(norms > pt)
+    rows, wo, po = block[over], wt[over], pt[over]
+    lift = (norms[over] - po) / np.einsum("ij,ij->i", wo * wo, rows != 0.0)
+    rows = _shrink(rows, wo, lift[:, None])
     norms = np.einsum("ij,ij->i", wo, np.abs(rows))
-    out[over] = rows * (po / np.maximum(norms, po))[:, None]
+    block[over] = rows * (po / np.maximum(norms, po))[:, None]
+    out[todo] = block
     return out
 
 
@@ -125,7 +125,10 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     constraint active. Signs are preserved and shrunk entries become exact
     zeros. Three Michelot passes bound the threshold from below and drop the
     entries whose breakpoint ``|v| / w`` lies at or under that bound; a
-    sorted scan of the surviving breakpoints then gives the exact threshold.
+    sorted scan of the surviving breakpoints then gives the exact threshold,
+    and only the survivors are thresholded (about a fifth of a solver row).
+    Tied breakpoints may be summed in any order, so a row with ties can move
+    by rounding against a stable sort, but not between calls.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -140,25 +143,17 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     return _project_rows(v, w, phi)
 
 
-def project_weighted_l1_ball(v, w, phi: float) -> np.ndarray:
-    """Euclidean projection of a vector onto ``{x : sum w_i |x_i| <= phi}``."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if v.ndim != 1 or v.shape != w.shape:
-        raise ValueError(f"expected matching vectors, got {v.shape} vs {w.shape}")
-    return project_weighted_l1_rows(v[None, :], w[None, :], [phi])[0]
-
-
 def project_weighted_l1_matrix_ball(s, w, phi_total: float) -> np.ndarray:
-    """Project a full matrix onto the weighted-l1 ball of radius phi_total.
+    """Project a whole array onto ``{x : sum w_ij |x_ij| <= phi_total}``.
 
-    Equivalent to vectorizing, projecting and reshaping back.
+    ``s`` and ``w`` share one shape; the array is projected as one row, so a
+    vector gets its own weighted-l1 ball.
     """
     s = np.asarray(s, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if s.shape != w.shape:
         raise ValueError(f"shape mismatch: {s.shape} vs {w.shape}")
-    flat = project_weighted_l1_ball(s.ravel(), w.ravel(), phi_total)
+    flat = project_weighted_l1_rows(s.reshape(1, -1), w.reshape(1, -1), [phi_total])
     return flat.reshape(s.shape)
 
 

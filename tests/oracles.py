@@ -8,6 +8,16 @@ correlations, matching, merging and alignment go one pair at a time.
 import numpy as np
 
 
+def weighted_l1_norm(x, w) -> float:
+    """``sum w |x|`` over arrays of equal shape: a vector's weighted-l1 norm,
+    or a matrix's ``sum_ij w_ij |x_ij|``."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if x.shape != w.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {w.shape}")
+    return float(np.sum(w * np.abs(x)))
+
+
 def oracle_gamma_bisection(v, w, phi, iters=200):
     mags = np.abs(v)
     lo, hi = 0.0, float(np.max(mags / w))
@@ -54,6 +64,31 @@ def unfiltered_breakpoint_scan(v, w, phi):
     gamma = (suf_a[rows, k] - phi) / suf_b[rows, k]
     part = mags - gamma[:, None] * w
     return np.where(part > 0.0, np.sign(v) * part, 0.0)
+
+
+def dense_project_rows(v, w, phi):
+    """Row projection thresholded over every entry, the bit-exact reference
+    for the survivor-only one: each violating row with a positive radius
+    goes through the unfiltered scan, then the rows that round past phi are
+    gathered and mended (the threshold raised by excess / sum(w^2) over the
+    nonzeros, then the row scaled back onto its sphere). Takes float64
+    arrays: 2-D ``v`` and ``w``, one radius a row."""
+    out = np.array(v, dtype=np.float64, copy=True)
+    todo = np.flatnonzero(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
+    out[todo[phi[todo] == 0.0]] = 0.0
+    todo = todo[phi[todo] > 0.0]
+    if todo.size == 0:
+        return out
+    out[todo] = unfiltered_breakpoint_scan(v[todo], w[todo], phi[todo])
+
+    over = todo[np.einsum("ij,ij->i", w[todo], np.abs(out[todo])) > phi[todo]]
+    rows, wo, po = out[over], w[over], phi[over]
+    excess = np.einsum("ij,ij->i", wo, np.abs(rows)) - po
+    part = np.abs(rows) - (excess / np.einsum("ij,ij->i", wo * wo, rows != 0.0))[:, None] * wo
+    rows = np.where(part > 0.0, np.sign(rows) * part, 0.0)
+    norms = np.einsum("ij,ij->i", wo, np.abs(rows))
+    out[over] = rows * (po / np.maximum(norms, po))[:, None]
+    return out
 
 
 def oracle_spectral_norm(m):

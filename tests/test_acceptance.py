@@ -24,11 +24,8 @@ from iadl.hrf import (
 )
 from iadl.initializer import InitConfig, initialize
 from iadl.io import load_matrix, save_matrix, MatrixFileError
-from iadl.projections import (
-    compute_weights,
-    project_weighted_l1_ball,
-    weighted_l1_norm,
-)
+from iadl.projections import compute_weights
+from iadl.projections import project_weighted_l1_matrix_ball as project_weighted_l1_ball
 from iadl.solver import (
     SolverConfig,
     coefficient_surrogate,
@@ -53,7 +50,7 @@ from iadl.types import (
     sparsity_percentage,
 )
 
-from oracles import oracle_project, oracle_spectral_norm
+from oracles import oracle_project, oracle_spectral_norm, weighted_l1_norm
 
 N_VOXELS_MINI = 1600
 FULL_TARGET_THETAS = [

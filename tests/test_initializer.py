@@ -17,10 +17,10 @@ from iadl.initializer import (
     order_by_sparsity,
     refine_full_sparsity,
 )
-from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
+from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
-from oracles import pair_pearson, pairwise_align, pairwise_merge
+from oracles import pair_pearson, pairwise_align, pairwise_merge, weighted_l1_norm
 
 
 def laplace_sources(rng, k, n):

@@ -486,7 +486,7 @@ def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
         assert (plain / name).read_bytes() == (resumed / name).read_bytes(), name
 
 
-def _tamper_start(tmp_path, start):
+def _tamper_start(tmp_path, start, data):
     coef = start / "init_coef.iadl"
     raw = bytearray(coef.read_bytes())
     raw[-1] ^= 1
@@ -494,7 +494,7 @@ def _tamper_start(tmp_path, start):
     return "init_coef.iadl: checksum mismatch"
 
 
-def _start_on_other_data(tmp_path, start):
+def _start_on_other_data(tmp_path, start, data):
     config = tmp_path / "config.yaml"
     other = tmp_path / "other"
     assert main(["simulate", "--config", str(config), "--seed", "99", "--out", str(other)]) == 0
@@ -503,22 +503,40 @@ def _start_on_other_data(tmp_path, start):
     return "start was computed from different data"
 
 
-def _fit_with_other_k(tmp_path, start):
+def _fit_with_other_k(tmp_path, start, data):
     # the start keeps its 8 atoms; the config asks for 6
     (tmp_path / "config.yaml").write_text(MINI_CONFIG.replace("k: 8", "k: 6"))
-    return "one sparsity budget per atom"
+    return "start was computed with a different 'k'"
+
+
+def _blind_start(tmp_path, start, data):
+    # a start without assisted atoms, handed to an assisted fit
+    assert main(["init", "--config", str(tmp_path / "config.yaml"), "--data", str(data),
+                 "--out", str(start), "--blind"]) == 0
+    return "start was computed with a different 'blind'"
+
+
+def _start_with_other_theta(tmp_path, start, data):
+    # the same data and k, but the start was sparsified to other budgets
+    other = tmp_path / "other.yaml"
+    other.write_text(MINI_CONFIG.replace("theta: [95, 94]", "theta: [80, 80]"))
+    assert main(["init", "--config", str(other), "--data", str(data),
+                 "--out", str(start)]) == 0
+    return "start was computed with a different 'phi'"
 
 
 @pytest.mark.parametrize(
-    "spoil", [_tamper_start, _start_on_other_data, _fit_with_other_k],
-    ids=["tampered", "other_data", "wrong_k"],
+    "spoil",
+    [_tamper_start, _start_on_other_data, _fit_with_other_k, _blind_start,
+     _start_with_other_theta],
+    ids=["tampered", "other_data", "wrong_k", "blind_start", "other_theta"],
 )
 def test_cli_fit_refuses_a_start_that_does_not_fit(tmp_path, capsys, mini_start, spoil):
     config, data, saved = mini_start
     start = tmp_path / "start"
     shutil.copytree(saved, start)
     shutil.copy(config, tmp_path / "config.yaml")
-    message = spoil(tmp_path, start)
+    message = spoil(tmp_path, start, data)
     capsys.readouterr()
     code = main(["fit", "--config", str(tmp_path / "config.yaml"), "--data", str(data),
                  "--out", str(tmp_path / "fit"), "--init-dir", str(start)])

@@ -7,17 +7,19 @@ from iadl import projections
 from iadl.projections import (
     compute_weights,
     project_similarity_ball,
-    project_weighted_l1_ball,
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
-    weighted_l1_norm,
 )
+# a vector goes onto its own weighted-l1 ball through the matrix ball
+from iadl.projections import project_weighted_l1_matrix_ball as project_weighted_l1_ball
 
 from oracles import (
+    dense_project_rows,
     oracle_gamma_bisection,
     oracle_project,
     random_feasible_points,
     unfiltered_breakpoint_scan,
+    weighted_l1_norm,
 )
 
 
@@ -290,6 +292,23 @@ def adversarial_blocks(draw):
     return v, w, phi
 
 
+def assert_row_matches_oracle(v, w, phi, out):
+    """``out``, a projection of row ``v``, agrees with the bisection oracle
+    to within rounding of the row."""
+    own = float(np.sum(w * np.abs(v)))
+    got = float(np.sum(w * np.abs(out)))
+    ref = oracle_project(v, w, phi)
+    assert np.all((out == 0.0) | (np.sign(out) == np.sign(v)))
+    assert got <= phi * (1 + 1e-12)
+    # errors in the threshold move the weighted norm by at most a few
+    # n * eps of the row's own norm
+    assert float(np.sum(w * np.abs(out - ref))) <= 1e-10 * own
+    # and no entry moves by more than rounding of the row's largest one
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(v))
+    if own > phi:
+        assert abs(got - phi) <= 1e-10 * own
+
+
 @settings(max_examples=200, deadline=None)
 @given(adversarial_blocks())
 @example(
@@ -314,18 +333,7 @@ def test_projection_matches_oracle_on_adversarial_rows(case):
     v, w, phi = case
     out = project_weighted_l1_rows(v, w, phi)
     for i in range(v.shape[0]):
-        own = float(np.sum(w[i] * np.abs(v[i])))
-        got = float(np.sum(w[i] * np.abs(out[i])))
-        ref = oracle_project(v[i], w[i], phi[i])
-        assert np.all((out[i] == 0.0) | (np.sign(out[i]) == np.sign(v[i])))
-        assert got <= phi[i] * (1 + 1e-12)
-        # errors in the threshold move the weighted norm by at most a few
-        # n * eps of the row's own norm
-        assert float(np.sum(w[i] * np.abs(out[i] - ref))) <= 1e-10 * own
-        # and no entry moves by more than rounding of the row's largest one
-        assert np.max(np.abs(out[i] - ref)) <= 1e-12 * np.max(np.abs(v[i]))
-        if own > phi[i]:
-            assert abs(got - phi[i]) <= 1e-10 * own
+        assert_row_matches_oracle(v[i], w[i], phi[i], out[i])
 
     # the filter drops only entries that precede every survivor in the
     # sorted breakpoints, so the scan's threshold is unchanged bit for bit
@@ -351,6 +359,51 @@ def test_filtered_scan_is_bit_identical_on_solver_like_rows(rng):
         np.testing.assert_array_equal(
             projections._project_block(v, w, phi), unfiltered_breakpoint_scan(v, w, phi)
         )
+
+
+def test_rows_equal_the_dense_projection_bit_for_bit(rng):
+    # only the Michelot survivors are sorted and thresholded, and the mend
+    # reads the projected block in place; the result is the dense pass's,
+    # bit for bit. Solver-like rows as above, with a zero-radius row, a row
+    # already inside its ball and rows whose weights dwarf the radius.
+    mended = 0
+    for _ in range(20):
+        k, n = 12, 1600
+        prev = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.15)
+        v = prev + 0.05 * rng.standard_normal((k, n))
+        w = compute_weights(prev, 1e-6)
+        phi = n * (1.0 - rng.uniform(70.0, 99.0, k) / 100.0)
+        phi[0] = 0.0
+        phi[1] = 2.0 * np.sum(w[1] * np.abs(v[1]))
+        w[2:5] = 10.0 ** rng.uniform(3, 10, (3, 1))
+        phi[2:5] = rng.uniform(0.5, 5.0, 3)
+        out = project_weighted_l1_rows(v, w, phi)
+        np.testing.assert_array_equal(
+            out.view(np.int64), dense_project_rows(v, w, phi).view(np.int64)
+        )
+        scanned = unfiltered_breakpoint_scan(v[2:], w[2:], phi[2:])
+        mended += int(np.sum(np.einsum("ij,ij->i", w[2:], np.abs(scanned)) > phi[2:]))
+    assert mended > 0
+
+
+def test_tied_breakpoints_with_inexact_sums_stay_within_the_oracle(rng):
+    # v = r w with r from six levels ties the breakpoints |v| / w, while
+    # the sums over tied entries round. The default sort may order ties
+    # unlike the stable scan, which moves the threshold by rounding only:
+    # each row stays within the oracle tolerances and is projected the same
+    # alone as inside its block.
+    for _ in range(40):
+        k, n = 5, 300
+        w = 10.0 ** rng.uniform(-2.0, 2.0, (k, n))
+        r = rng.choice(rng.uniform(0.1, 10.0, 6), (k, n))
+        v = r * w * rng.choice([-1.0, 1.0], (k, n))
+        phi = rng.uniform(0.0, 1.0, k) * np.einsum("ij,ij->i", w, np.abs(v))
+        assert all(np.unique(np.abs(v[i]) / w[i]).size < n for i in range(k))
+        out = project_weighted_l1_rows(v, w, phi)
+        for i in range(k):
+            assert_row_matches_oracle(v[i], w[i], phi[i], out[i])
+            alone = project_weighted_l1_rows(v[i : i + 1], w[i : i + 1], phi[i : i + 1])
+            np.testing.assert_array_equal(alone[0].view(np.int64), out[i].view(np.int64))
 
 
 def test_rowwise_projection_matches_vector_loop(rng):

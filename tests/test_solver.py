@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iadl.projections import compute_weights, project_weighted_l1_rows, weighted_l1_norm
+from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.solver import (
     _EXPANDED_LOSS_FLOOR,
     SolverConfig,
@@ -21,6 +21,7 @@ from oracles import (
     oracle_spectral_norm,
     per_atom_dictionary_step,
     random_feasible_points,
+    weighted_l1_norm,
 )
 
 
