@@ -24,7 +24,6 @@ from .types import (
     SourceSet,
     TaskTimeCourses,
     phi_from_theta,
-    sparsity_percentage,
 )
 
 __version__ = "0.1.0"
@@ -49,5 +48,4 @@ __all__ = [
     "phi_from_theta",
     "run_iadl",
     "sample_hrf",
-    "sparsity_percentage",
 ]

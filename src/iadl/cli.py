@@ -95,9 +95,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_c_delta(config) -> float:
-    if config.c_delta != "auto":
-        return float(config.c_delta)
+def _estimated_c_delta(config) -> float:
     ds = config.dataset
     return estimate_c_delta(config.resolved_conditions(), ds.n_times, ds.tr)
 
@@ -109,9 +107,10 @@ def _load_fit_inputs(config, data_dir, blind):
         delta = TaskTimeCourses.empty(x.n_times)
     else:
         delta = TaskTimeCourses(iadl_io.load_matrix(data_dir / "task_courses.iadl"))
+    c_delta = _estimated_c_delta(config) if config.c_delta == "auto" else config.c_delta
     spec = ConstraintSpec(
         phi=config.resolve_phis(x.n_voxels),
-        c_delta=_resolve_c_delta(config),
+        c_delta=c_delta,
         c_d=config.c_d,
         epsilon=config.epsilon,
     )
@@ -181,8 +180,8 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
     data_checksum = iadl_io.sha256_file(Path(args.data) / "x.iadl")
+    settings = _start_settings(config, spec, args.blind)
     if args.init_dir:
-        settings = _start_settings(config, spec, args.blind)
         d0, s0 = _load_start(Path(args.init_dir), data_checksum, settings, delta)
     else:
         d0, s0 = initialize(x, config.k, delta, spec, config.init)
@@ -200,16 +199,9 @@ def cmd_fit(args) -> int:
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
     resolved = {
-        "k": config.k,
+        **settings,
         "assisted_count": delta.n_courses,
-        "phi": [float(v) for v in spec.phi],
-        "c_delta": spec.c_delta,
-        "c_d": spec.c_d,
-        "epsilon": spec.epsilon,
-        "seed": config.seed,
-        "blind": bool(args.blind),
         "solver": config.solver.__dict__,
-        "init": config.init.__dict__,
         "iterations_run": trace.iterations_run,
         "stop_reason": trace.stop_reason,
         "final_objective": float(trace.objective[-1]),
@@ -255,13 +247,12 @@ def cmd_evaluate(args) -> int:
     p = tuple(meta["assisted_indices"])[: est_d.assisted_count]
 
     reports = {
-        FULL_SOURCE: (match_and_score(truth, est_d, est_s, p, FULL_SOURCE), truth.kinds),
-        TIME_COURSE: (match_and_score(truth, est_d, est_s, p, TIME_COURSE), truth.kinds),
+        mode: match_and_score(truth, est_d, est_s, p, mode) for mode in (FULL_SOURCE, TIME_COURSE)
     }
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    iadl_io.save_metrics(reports, out_path)
-    full = reports[FULL_SOURCE][0].summaries
+    iadl_io.save_metrics(reports, out_path, truth.kinds)
+    full = reports[FULL_SOURCE].summaries
     print(
         f"mean r (full source): assisted {full.get('assisted_full', float('nan')):.4f}, "
         f"brain {full['brain_full']:.4f}, all {full['all_full']:.4f}"
@@ -270,11 +261,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tune_cdelta(args) -> int:
-    config = _load_config(args)
-    value = _resolve_c_delta(
-        iadl_io.ExperimentConfig(**{**config.__dict__, "c_delta": "auto"})
-    )
-    print(f"{value:.10g}")
+    print(f"{_estimated_c_delta(_load_config(args)):.10g}")
     return 0
 
 

@@ -1,6 +1,5 @@
-"""Decomposition scoring: matrix Pearson correlation, full-source and
-time-course measures, greedy assisted-then-blind matching, and the atlas
-sparsity arithmetic.
+"""Decomposition scoring: full-source and time-course Pearson tables,
+greedy assisted-then-blind matching, and the atlas sparsity arithmetic.
 
 Pearson r is written once, as a table over all pairs built from raw
 moments (``_pearson_table``); a ratio of moments needs no divisor
@@ -18,25 +17,6 @@ from .synthgen import BRAIN_KINDS
 
 FULL_SOURCE = "full_source"
 TIME_COURSE = "time_course"
-
-
-def matrix_pearson(a, b) -> float:
-    """Sample Pearson correlation of two equal-shape matrices, vectorized."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError("matrices must share a shape")
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0.0:
-        raise ValueError("correlation undefined for a constant matrix")
-    return float(np.clip(a @ b / denom, -1.0, 1.0))
-
-
-def full_source(d, s) -> np.ndarray:
-    """Rank-1 expression of one source across voxels and time."""
-    return np.outer(np.asarray(d, dtype=np.float64), np.asarray(s, dtype=np.float64))
 
 
 def _pearson_table(sum_a, sq_a, sum_b, sq_b, cross, count) -> np.ndarray:

@@ -159,41 +159,35 @@ def build_regressor(cond: ConditionSpec, n_times: int, tr: float) -> np.ndarray:
     return u
 
 
-def task_time_course(u, h, normalize: bool = True) -> np.ndarray:
+def task_time_course(u, h) -> np.ndarray:
     """Convolve an activation pattern with a response kernel, truncated to
-    the pattern length; unit peak magnitude unless ``normalize`` is off."""
+    the pattern length and scaled to unit peak magnitude (an all-zero course
+    stays zero)."""
     u = np.asarray(u, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if u.size == 0 or h.size == 0:
         raise ValueError("empty signal")
     out = np.convolve(u, h)[: u.size]
-    if normalize:
-        top = np.max(np.abs(out))
-        if top > 0:
-            out = out / top
+    top = np.max(np.abs(out))
+    if top > 0:
+        out = out / top
     return out
 
 
-def estimate_c_delta(
-    conditions,
-    n_times: int,
-    tr: float,
-    reference: TwoGammaParams | None = None,
-    alternate: TwoGammaParams | None = None,
-) -> float:
+def estimate_c_delta(conditions, n_times: int, tr: float) -> float:
     """Similarity radius from the expected response variability.
 
-    For each condition, builds the unit-peak task course under the reference
-    response and under a plausible alternative, and returns the mean squared
-    distance between the two across conditions.
+    For each condition, builds the unit-peak task course under the canonical
+    response and under ``default_alternate_hrf()``, and returns the mean
+    squared distance between the two across conditions: how far a subject
+    whose response differs that much from the canonical one moves each
+    task course.
     """
     conditions = list(conditions)
     if not conditions:
         raise ValueError("need at least one condition")
-    reference = reference or canonical_params()
-    alternate = alternate or default_alternate_hrf()
-    h_ref = hrf_curve(reference, tr)
-    h_alt = hrf_curve(alternate, tr)
+    h_ref = canonical_hrf(tr)
+    h_alt = hrf_curve(default_alternate_hrf(), tr)
     distances = []
     for cond in conditions:
         u = build_regressor(cond, n_times, tr)

@@ -3,7 +3,8 @@
 Matrices travel in one format, a small checked binary container (magic
 ``IADL``, version, row and column counts, little-endian float64 payload),
 whatever the file's extension. Experiment configs are YAML documents
-validated into typed objects; a key the schema does not know is refused.
+validated into typed objects; a key the schema does not know, or a number
+of the wrong kind, is refused with the file and the key named.
 Every simulated, initialized or fitted artifact directory carries a
 manifest with content checksums, so a start or a fit is refused against
 data other than its own.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -223,18 +225,52 @@ def _refuse_unknown(path, mapping, known, where=""):
             raise ValueError(f"{path}: unknown config key '{where}{key}'")
 
 
-def _section(path, raw, key, known):
+def _section(path, raw, key, known, rules):
+    """The section's mapping, each value whose key has a rule in ``rules``
+    read by that rule."""
     value = raw.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ValueError(f"{path}: config section {key!r} must be a mapping")
     _refuse_unknown(path, value, known, f"{key}.")
-    return value
+    return {
+        name: rules[name](path, f"{key}.{name}", v) if name in rules else v
+        for name, v in value.items()
+    }
 
 
 def _field_names(cls):
     return [f.name for f in fields(cls)]
+
+
+def _integer(path, key, value) -> int:
+    """A YAML integer; a float or a boolean would be truncated or counted
+    as 0 or 1 without a word."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path}: config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _real(path, key, value) -> float:
+    """``float(value)``, which also reads the strings PyYAML leaves
+    exponents such as ``1e-8`` in (it takes them as floats only with a
+    dot); a boolean or NaN is refused."""
+    number = math.nan
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+    if math.isnan(number):
+        raise ValueError(f"{path}: config key {key!r} must be a number, got {value!r}")
+    return number
+
+
+def _reals(path, key, values) -> tuple:
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: config key {key!r} must be a list of numbers")
+    return tuple(_real(path, f"{key}[{i}]", v) for i, v in enumerate(values))
 
 
 def _build_conditions(path, entries):
@@ -242,12 +278,13 @@ def _build_conditions(path, entries):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "onsets" not in entry or "durations" not in entry:
             raise ValueError(f"{path}: assisted condition {i} needs 'onsets' and 'durations'")
-        _refuse_unknown(path, entry, _CONDITION_KEYS, f"assisted[{i}].")
+        where = f"assisted[{i}]."
+        _refuse_unknown(path, entry, _CONDITION_KEYS, where)
         conditions.append(
             ConditionSpec(
-                onsets=tuple(entry["onsets"]),
-                durations=tuple(entry["durations"]),
-                amplitude=float(entry.get("amplitude", 1.0)),
+                onsets=_reals(path, f"{where}onsets", entry["onsets"]),
+                durations=_reals(path, f"{where}durations", entry["durations"]),
+                amplitude=_real(path, f"{where}amplitude", entry.get("amplitude", 1.0)),
             )
         )
     return tuple(conditions)
@@ -262,15 +299,26 @@ def load_config(path) -> ExperimentConfig:
     if "k" not in raw:
         raise ValueError(f"{path}: missing required key 'k'")
 
-    sparsity = _section(path, raw, "sparsity", ("theta", "phi"))
-    thetas = sparsity.get("theta")
-    phis = sparsity.get("phi")
+    sparsity = _section(
+        path, raw, "sparsity", ("theta", "phi"), {"theta": _reals, "phi": _reals}
+    )
+    c_delta = raw.get("c_delta", "auto")
+    if c_delta != "auto":
+        c_delta = _real(path, "c_delta", c_delta)
 
-    solver_kwargs = _section(path, raw, "solver", _field_names(SolverConfig))
-    init_kwargs = _section(path, raw, "init", _field_names(InitConfig))
+    solver_kwargs = _section(
+        path, raw, "solver", _field_names(SolverConfig),
+        {"max_iters": _integer, "rel_obj_tol": _real},
+    )
+    init_kwargs = _section(
+        path, raw, "init", _field_names(InitConfig), {"refine_iters": _integer}
+    )
     if "rng_seed" in init_kwargs:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
-    dataset_kwargs = _section(path, raw, "dataset", _field_names(DatasetConfig))
+    dataset_kwargs = _section(
+        path, raw, "dataset", _field_names(DatasetConfig),
+        {"snr_db": _real, "hrf_spread": _real},
+    )
 
     assisted = raw.get("assisted", [])
     if not isinstance(assisted, list):
@@ -278,14 +326,14 @@ def load_config(path) -> ExperimentConfig:
 
     try:
         return ExperimentConfig(
-            k=int(raw["k"]),
-            seed=int(raw.get("seed", 0)),
+            k=_integer(path, "k", raw["k"]),
+            seed=_integer(path, "seed", raw.get("seed", 0)),
             conditions=_build_conditions(path, assisted),
-            thetas=tuple(thetas) if thetas is not None else None,
-            phis=tuple(phis) if phis is not None else None,
-            c_delta=raw.get("c_delta", "auto"),
-            c_d=float(raw.get("c_d", 1.0)),
-            epsilon=float(raw.get("epsilon", 1e-6)),
+            thetas=sparsity.get("theta"),
+            phis=sparsity.get("phi"),
+            c_delta=c_delta,
+            c_d=_real(path, "c_d", raw.get("c_d", 1.0)),
+            epsilon=_real(path, "epsilon", raw.get("epsilon", 1e-6)),
             solver=SolverConfig(**solver_kwargs),
             init=InitConfig(**init_kwargs),
             dataset=DatasetConfig(**dataset_kwargs),
@@ -294,17 +342,16 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: {err}") from err
 
 
-def save_metrics(reports: dict, path) -> None:
+def save_metrics(reports: dict, path, kinds) -> None:
     """Serialize one or more match reports plus a flat per-source table.
 
-    ``reports`` maps mode name to (MatchReport, kinds). Writes JSON at
-    ``path`` and a companion ``.csv`` with one row per true source.
+    ``reports`` maps mode name to MatchReport, and ``kinds`` labels the true
+    sources they score. Writes JSON at ``path`` and a companion ``.csv``
+    with one row per true source, read off the first report.
     """
     path = Path(path)
     doc = {}
-    kinds = None
-    for mode, (report, mode_kinds) in reports.items():
-        kinds = mode_kinds
+    for mode, report in reports.items():
         doc[mode] = {
             "mapping": {str(i): j for i, j in sorted(report.mapping.items())},
             "r_full": [float(v) for v in report.r_full],
@@ -313,12 +360,11 @@ def save_metrics(reports: dict, path) -> None:
         }
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
-    first = next(iter(reports.values()))[0]
+    first = next(iter(reports.values()))
     lines = ["true_index,kind,matched_estimate,r_full,r_time"]
     for i in range(first.r_full.size):
         est = first.mapping.get(i, -1)
-        kind = kinds[i] if kinds else "unknown"
         lines.append(
-            f"{i},{kind},{est},{first.r_full[i]:.10g},{first.r_time[i]:.10g}"
+            f"{i},{kinds[i]},{est},{first.r_full[i]:.10g},{first.r_time[i]:.10g}"
         )
     path.with_suffix(".csv").write_text("\n".join(lines) + "\n")

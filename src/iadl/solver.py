@@ -65,32 +65,6 @@ class SolveResult:
     trace: SolveTrace
 
 
-def coefficient_surrogate(x, d, s, s_anchor, c_s: float) -> float:
-    """Quadratic majorizer of the loss in the coefficient block."""
-    x = np.asarray(x, float)
-    d = np.asarray(d, float)
-    s = np.asarray(s, float)
-    s_anchor = np.asarray(s_anchor, float)
-    return (
-        float(np.linalg.norm(x - d @ s) ** 2)
-        - float(np.linalg.norm(d @ s - d @ s_anchor) ** 2)
-        + c_s * float(np.linalg.norm(s - s_anchor) ** 2)
-    )
-
-
-def dictionary_surrogate(x, s, d, d_anchor, c_d: float) -> float:
-    """Quadratic majorizer of the loss in the dictionary block."""
-    x = np.asarray(x, float)
-    s = np.asarray(s, float)
-    d = np.asarray(d, float)
-    d_anchor = np.asarray(d_anchor, float)
-    return (
-        float(np.linalg.norm(x - d @ s) ** 2)
-        - float(np.linalg.norm(d @ s - d_anchor @ s) ** 2)
-        + c_d * float(np.linalg.norm(d - d_anchor) ** 2)
-    )
-
-
 def _scale_constant(gram) -> float:
     return max(_SCALE_MARGIN * float(np.linalg.eigvalsh(gram)[-1]), _SCALE_FLOOR)
 

@@ -184,9 +184,6 @@ class SourceSet:
     def n_sources(self) -> int:
         return self.time_courses.shape[1]
 
-    def clean_signal(self) -> np.ndarray:
-        return self.time_courses @ self.spatial_maps
-
 
 def phi_from_theta(theta: float, n: int) -> float:
     """Convert a sparsity percentage into an active-voxel budget.
@@ -199,17 +196,3 @@ def phi_from_theta(theta: float, n: int) -> float:
     if n < 1:
         raise ValueError("vector length must be at least 1")
     return n * (1.0 - theta / 100.0)
-
-
-def sparsity_percentage(v, threshold: float = 0.0) -> float:
-    """Percentage of zero entries in ``v``.
-
-    With the default threshold the count is exact (|v_i| > 0); pass a small
-    positive threshold (e.g. 1e-12) for solver outputs where tiny residual
-    values should count as zeros.
-    """
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("empty vector has no sparsity percentage")
-    active = int(np.count_nonzero(np.abs(arr) > threshold))
-    return (1.0 - active / arr.size) * 100.0

@@ -1,8 +1,10 @@
 """Independent reference implementations shared by the test modules.
 
 These deliberately avoid the package's own code paths: the threshold search
-is a plain bisection, spectral quantities come from dense eigensolvers, and
-correlations, matching, merging and alignment go one pair at a time.
+is a plain bisection, spectral quantities come from dense eigensolvers, the
+surrogates are written out from their definitions, and correlations,
+matching, merging and alignment go one pair at a time or over dense
+materialized sources.
 """
 
 import numpy as np
@@ -16,6 +18,14 @@ def weighted_l1_norm(x, w) -> float:
     if x.shape != w.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {w.shape}")
     return float(np.sum(w * np.abs(x)))
+
+
+def sparsity_percentage(v) -> float:
+    """Percentage of exactly zero entries in ``v``."""
+    arr = np.asarray(v, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise ValueError("empty vector has no sparsity percentage")
+    return (1.0 - np.count_nonzero(arr) / arr.size) * 100.0
 
 
 def oracle_gamma_bisection(v, w, phi, iters=200):
@@ -96,6 +106,26 @@ def oracle_spectral_norm(m):
     return float(np.max(np.linalg.eigvalsh(np.asarray(m, dtype=float))))
 
 
+def coefficient_surrogate(x, d, s, s_anchor, c_s: float) -> float:
+    """Quadratic majorizer of the loss in the coefficient block, written out
+    from its definition."""
+    return (
+        float(np.linalg.norm(x - d @ s) ** 2)
+        - float(np.linalg.norm(d @ s - d @ s_anchor) ** 2)
+        + c_s * float(np.linalg.norm(s - s_anchor) ** 2)
+    )
+
+
+def dictionary_surrogate(x, s, d, d_anchor, c_d: float) -> float:
+    """Quadratic majorizer of the loss in the dictionary block, written out
+    from its definition."""
+    return (
+        float(np.linalg.norm(x - d @ s) ** 2)
+        - float(np.linalg.norm(d @ s - d_anchor @ s) ** 2)
+        + c_d * float(np.linalg.norm(d - d_anchor) ** 2)
+    )
+
+
 def oracle_ball_columns(b, delta, c_delta, c_d):
     """Project column i of ``b`` onto ``||x - delta_i||^2 <= c_delta`` for the
     first ``delta.shape[1]`` columns and onto ``||x||^2 <= c_d`` for the rest,
@@ -131,6 +161,26 @@ def random_feasible_points(w, phi, count, rng):
     norms = np.sum(w * np.abs(u), axis=1)
     scale = phi * rng.random(count) / np.maximum(norms, 1e-300)
     return u * scale[:, None]
+
+
+def matrix_pearson(a, b) -> float:
+    """Sample Pearson correlation of two equal-shape matrices, over all
+    entries at once; a constant side is an error."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError("matrices must share a shape")
+    a = a - a.mean()
+    b = b - b.mean()
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if denom == 0.0:
+        raise ValueError("correlation undefined for a constant matrix")
+    return float(np.clip(a @ b / denom, -1.0, 1.0))
+
+
+def full_source(d, s) -> np.ndarray:
+    """Rank-1 expression ``d s^T`` of one source across time and voxels."""
+    return np.outer(np.asarray(d, dtype=np.float64), np.asarray(s, dtype=np.float64))
 
 
 def pair_pearson(a, b):

@@ -9,13 +9,11 @@ from iadl.evaluation import (
     _course_table,
     _full_source_table,
     atlas_fbn_sparsity,
-    full_source,
     match_and_score,
-    matrix_pearson,
 )
 from iadl.types import CoefficientMatrix, Dictionary, SourceSet
 
-from oracles import pairwise_match, pairwise_score_tables
+from oracles import full_source, matrix_pearson, pairwise_match, pairwise_score_tables
 
 
 def toy_truth(rng, k=5, t=40, n=60, assisted=(0, 2)):

@@ -307,6 +307,55 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     assert str(path) in err and key in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("k: 2.7\nsparsity:\n  phi: [12, 30]\n", "'k'"),
+        ("k: true\nsparsity:\n  phi: [12]\n", "'k'"),
+        (_PHI_CONFIG + "seed: 1.9\n", "'seed'"),
+        (_PHI_CONFIG + "solver:\n  max_iters: 2.5\n", "'solver.max_iters'"),
+        (_PHI_CONFIG + "solver:\n  max_iters: true\n", "'solver.max_iters'"),
+        (_PHI_CONFIG + "init:\n  refine_iters: 1.0\n", "'init.refine_iters'"),
+        (_PHI_CONFIG + "solver:\n  rel_obj_tol: tiny\n", "'solver.rel_obj_tol'"),
+        (_PHI_CONFIG + "dataset:\n  snr_db: loud\n", "'dataset.snr_db'"),
+        (_PHI_CONFIG + "c_delta: wide\n", "'c_delta'"),
+        (_PHI_CONFIG + "c_d: yes\n", "'c_d'"),
+        (_PHI_CONFIG + "epsilon: .nan\n", "'epsilon'"),
+        ("k: 2\nsparsity:\n  phi: [12, many]\n", "'sparsity.phi[1]'"),
+        (_PHI_CONFIG + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: [2]\n",
+         "'assisted[0].amplitude'"),
+    ],
+    ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
+         "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
+         "phi_entry", "amplitude"],
+)
+def test_config_refuses_bad_number(tmp_path, capsys, text, key):
+    # a float count would be truncated and a boolean read as 0 or 1; a
+    # string would fail later, inside the code that compares it
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: config key {key} must be")):
+        load_config(path)
+    assert main(["tune-cdelta", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(path) in err and key in err
+
+
+def test_config_reads_exponents_without_a_dot(tmp_path):
+    # PyYAML reads 1e-8 as a string; every real-valued key takes it
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "k: 2\nsparsity:\n  theta: [9.5e1]\nc_delta: 1e-1\nc_d: 2e0\nepsilon: 1e-6\n"
+        "dataset:\n  snr_db: 1e1\n  hrf_spread: 3e-1\nsolver:\n  rel_obj_tol: 1e-8\n"
+    )
+    config = load_config(path)
+    assert config.thetas == (95.0,)
+    assert (config.c_delta, config.c_d, config.epsilon) == (0.1, 2.0, 1e-6)
+    assert (config.dataset.snr_db, config.dataset.hrf_spread) == (10.0, 0.3)
+    assert config.solver.rel_obj_tol == 1e-8
+
+
 def test_readme_config_schema_loads(tmp_path):
     # The README's schema block goes through the loader, which refuses
     # unknown keys, so the documented schema cannot drift from the code;
@@ -484,6 +533,11 @@ def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
                  "--out", str(resumed), "--init-dir", str(start)]) == 0
     for name in ("fitted_dict.iadl", "fitted_maps.iadl", "trace.csv"):
         assert (plain / name).read_bytes() == (resumed / name).read_bytes(), name
+    # resolved.json restates the settings the start was checked against
+    settings = json.loads((start / "manifest.json").read_text())["settings"]
+    for out in (plain, resumed):
+        resolved = json.loads((out / "resolved.json").read_text())
+        assert {key: resolved[key] for key in settings} == settings
 
 
 def _tamper_start(tmp_path, start, data):

@@ -9,14 +9,14 @@ from iadl.solver import (
     SolverConfig,
     _coefficient_step,
     _dictionary_step,
-    coefficient_surrogate,
-    dictionary_surrogate,
     run_iadl,
 )
 from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 from oracles import (
+    coefficient_surrogate,
+    dictionary_surrogate,
     oracle_ball_columns,
     oracle_spectral_norm,
     per_atom_dictionary_step,

@@ -1,0 +1,65 @@
+"""The package's public surface is what a caller uses.
+
+Every top-level public function and class of ``src/iadl/*.py``, and every
+public method of those classes, must be referenced, as a name or an
+attribute and not inside a string, by package code outside ``__init__.py``
+or by the benchmark harness outside its tests. Reference implementations
+that only tests read belong in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "iadl"
+HARNESS = ROOT / "pipebench"
+
+# The GLM baseline of the paper's comparison (ROADMAP item 4) is to call
+# these; until it does, only their tests do.
+AWAITING_CALLER = {"postproc.pinv_spatial_maps", "postproc.zscore_threshold"}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def public_names(path):
+    """``module.name`` and ``module.Class.method`` for the public top-level
+    functions and classes of one module, and the public methods of those
+    classes."""
+    tree = ast.parse(path.read_text())
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            names.append(f"{path.stem}.{node.name}")
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            names.extend(
+                f"{path.stem}.{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and _public(item.name)
+            )
+    return names
+
+
+def referenced(paths):
+    """Every identifier read as a name or an attribute in ``paths``."""
+    seen = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+    return seen
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = [p for p in modules if p.name != "__init__.py"] + [
+        p for p in sorted(HARNESS.glob("*.py")) if p.name != "test_checks.py"
+    ]
+    used = referenced(callers)
+    surface = [name for path in modules for name in public_names(path)]
+    assert len(surface) > 50
+    unused = [name for name in surface if name.rsplit(".", 1)[1] not in used]
+    assert sorted(unused) == sorted(AWAITING_CALLER), f"public names only tests use: {unused}"

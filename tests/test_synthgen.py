@@ -25,7 +25,8 @@ from iadl.synthgen import (
     mini_benchmark,
 )
 from iadl.hrf import ConditionSpec, canonical_params
-from iadl.types import sparsity_percentage
+
+from oracles import sparsity_percentage
 
 FULL_TARGET_THETAS = [
     95.28, 95.33, 95.53, 88.25, 93.30, 97.04, 88.07, 91.82, 85.51, 92.67,
@@ -99,14 +100,14 @@ def test_assemble_noise_free_sentinel(rng):
     # 60 scans of 2 s end before the later MINI_SPECS blocks start
     with pytest.warns(UserWarning, match="beyond the scan end"):
         ds = assemble_dataset(MINI_SPECS, (40, 40), 60, 2.0, canonical_params(), np.inf, rng)
-    np.testing.assert_array_equal(ds.x.values, ds.truth.clean_signal())
+    np.testing.assert_array_equal(ds.x.values, ds.truth.time_courses @ ds.truth.spatial_maps)
     assert ds.noise_sigma == 0.0
 
 
 def test_assemble_zero_db_power_match(rng):
     with pytest.warns(UserWarning, match="beyond the scan end"):
         ds = assemble_dataset(MINI_SPECS, (40, 40), 80, 2.0, canonical_params(), 0.0, rng)
-    clean = ds.truth.clean_signal()
+    clean = ds.truth.time_courses @ ds.truth.spatial_maps
     p_signal = np.mean(clean**2)
     p_noise = np.mean((ds.x.values - clean) ** 2)
     assert p_signal / p_noise == pytest.approx(1.0, rel=0.02)
@@ -144,7 +145,7 @@ def test_realized_noise_power_meets_target(seed, snr_db, recipe):
     else:
         specs, grid, n_times = recipe
         ds = assemble_dataset(specs, grid, n_times, 2.0, canonical_params(), snr_db, rng)
-    clean = ds.truth.clean_signal()
+    clean = ds.truth.time_courses @ ds.truth.spatial_maps
     target = np.mean(clean**2) * 10.0 ** (-snr_db / 10.0)
     if target == 0.0:
         assert ds.noise_sigma == 0.0
@@ -160,9 +161,10 @@ def test_assemble_all_zero_signal_gets_no_noise(rng):
     # the target noise power is 0, so sigma is 0 and the data is the signal
     specs = [SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 100.0)] * 2
     ds = assemble_dataset(specs, (6, 7), 20, 2.0, canonical_params(), 10.0, rng)
-    assert not ds.truth.clean_signal().any()
+    clean = ds.truth.time_courses @ ds.truth.spatial_maps
+    assert not clean.any()
     assert ds.noise_sigma == 0.0
-    np.testing.assert_array_equal(ds.x.values, ds.truth.clean_signal())
+    np.testing.assert_array_equal(ds.x.values, clean)
 
 
 def test_noise_calibration_that_does_not_settle_raises(rng, monkeypatch):
@@ -185,8 +187,7 @@ def test_assemble_rejects_minus_inf_snr(rng):
 
 def test_clean_signal_reconstructs_exactly(rng):
     ds = mini_benchmark(rng, snr_db=np.inf)
-    recon = ds.truth.time_courses @ ds.truth.spatial_maps
-    np.testing.assert_array_equal(recon, ds.truth.clean_signal())
+    np.testing.assert_array_equal(ds.x.values, ds.truth.time_courses @ ds.truth.spatial_maps)
 
 
 def test_mini_benchmark_deterministic():
@@ -245,7 +246,7 @@ def test_full_recipe_matches_reference_sparsities():
 
 def test_full_recipe_zero_db(rng):
     ds = full_benchmark(rng)
-    clean = ds.truth.clean_signal()
+    clean = ds.truth.time_courses @ ds.truth.spatial_maps
     ratio = np.mean(clean**2) / np.mean((ds.x.values - clean) ** 2)
     assert ratio == pytest.approx(1.0, rel=0.02)
 
