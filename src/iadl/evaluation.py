@@ -3,7 +3,7 @@ greedy assisted-then-blind matching, and the atlas sparsity arithmetic.
 
 Pearson r is written once, as a table over all pairs built from raw
 moments (``_pearson_table``); a ratio of moments needs no divisor
-convention. The initializer's merge and alignment read the course table.
+convention. The initializer's alignment reads the course table.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ feasible under its own reweighting.
 
 The ICA stage is a self-contained symmetric fixed-point iteration (tanh
 contrast) on PCA-whitened data, so the initializer carries no external
-dependency. A start computed once can be reused as it is: ``iadl fit
+dependency. It returns all k components, even where k exceeds the
+sources and a source comes back split in two, and every later step keeps
+them. A start computed once can be reused as it is: ``iadl fit
 --init-dir`` hands the saved pair straight to the solver.
 """
 
@@ -27,11 +29,9 @@ from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, Ta
 
 
 # ICA stops after this many fixed-point iterations, or once no unmixing row
-# moves by more than the tolerance; components whose time courses correlate
-# beyond the threshold are merged.
+# moves by more than the tolerance.
 _ICA_MAX_ITERS = 400
 _ICA_TOL = 1e-7
-_MERGE_CORR_THRESHOLD = 0.95
 
 
 @dataclass(frozen=True)
@@ -50,35 +50,11 @@ def _sym_decorrelate(w):
     return (vecs / np.sqrt(vals)) @ vecs.T @ w
 
 
-def merge_correlated(d, s, threshold):
-    """Collapse component pairs whose time courses correlate beyond the
-    threshold: sum the pair (sign-aligned), renormalize the merged atom.
-    The pair of largest |r| goes first, the lowest (i, j) on ties."""
-    d = np.array(d, dtype=float)
-    s = np.array(s, dtype=float)
-    while d.shape[1] > 1:
-        r = _course_table(d, d)
-        upper = np.triu(np.abs(r), k=1)
-        i, j = np.unravel_index(int(np.argmax(upper)), upper.shape)
-        if upper[i, j] <= threshold:
-            break
-        sign = 1.0 if r[i, j] >= 0 else -1.0
-        d[:, i] = d[:, i] + sign * d[:, j]
-        nrm = np.linalg.norm(d[:, i])
-        if nrm > 0:
-            d[:, i] /= nrm
-        s[i] = s[i] + sign * s[j]
-        d = np.delete(d, j, axis=1)
-        s = np.delete(s, j, axis=0)
-    return d, s
-
-
 def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
     """PCA-whitened symmetric fixed-point ICA over the voxel samples.
 
-    Returns the mixing estimate as time courses and the component maps;
-    components whose time courses correlate beyond the merge threshold are
-    summed back together, so fewer than ``k`` components can come back.
+    Returns the mixing estimate as ``k`` time courses and the ``k``
+    component maps.
     """
     xv = x.values
     t, n = xv.shape
@@ -111,7 +87,6 @@ def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
 
     s = w @ z
     d = (evecs * np.sqrt(evals)) @ w.T
-    d, s = merge_correlated(d, s, _MERGE_CORR_THRESHOLD)
     return Dictionary(d), CoefficientMatrix(s)
 
 
@@ -238,19 +213,9 @@ def initialize(
     spec: ConstraintSpec,
     cfg: InitConfig = InitConfig(),
 ):
-    """Full pipeline: ICA, alignment, refinement, ordering, feasible start.
-
-    Components lost to merging are replaced with fresh unit-norm atoms
-    carrying empty maps, so the output is always T x k / k x N.
-    """
+    """Full pipeline: ICA, alignment, refinement, ordering, feasible start;
+    the output is T x k / k x N."""
     dbar, sbar = ica_decompose(x, k, cfg)
-    if dbar.n_atoms < k:
-        rng = np.random.default_rng(cfg.rng_seed + 1)
-        extra = k - dbar.n_atoms
-        atoms = rng.standard_normal((x.n_times, extra))
-        atoms /= np.linalg.norm(atoms, axis=0)
-        dbar = Dictionary(np.hstack([dbar.values, atoms]))
-        sbar = CoefficientMatrix(np.vstack([sbar.values, np.zeros((extra, x.n_voxels))]))
     dbar, sbar = align_assisted(dbar, sbar, delta)
     d_ref, s_ref = refine_full_sparsity(x, dbar, sbar, delta, spec, cfg)
     d_out, s_out = order_by_sparsity(d_ref, s_ref, delta.n_courses)

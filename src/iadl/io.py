@@ -4,7 +4,8 @@ Matrices travel in one format, a small checked binary container (magic
 ``IADL``, version, row and column counts, little-endian float64 payload),
 whatever the file's extension. Experiment configs are YAML documents
 validated into typed objects; a key the schema does not know, or a number
-of the wrong kind, is refused with the file and the key named.
+of the wrong kind, is refused with the file and the key named, and so are
+a count below 1, a negative seed and an SNR of -inf.
 Every simulated, initialized or fitted artifact directory carries a
 manifest with content checksums, so a start or a fit is refused against
 data other than its own.
@@ -163,8 +164,6 @@ class ExperimentConfig:
     dataset: DatasetConfig = DatasetConfig()
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
         if (self.thetas is None) == (self.phis is None):
             raise ValueError("give exactly one of sparsity.theta or sparsity.phi")
         if isinstance(self.c_delta, str):
@@ -244,11 +243,13 @@ def _field_names(cls):
     return [f.name for f in fields(cls)]
 
 
-def _integer(path, key, value) -> int:
-    """A YAML integer; a float or a boolean would be truncated or counted
-    as 0 or 1 without a word."""
+def _integer(path, key, value, least=None) -> int:
+    """A YAML integer, at least ``least`` if given; a float or a boolean
+    would be truncated or counted as 0 or 1 without a word."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{path}: config key {key!r} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{path}: config key {key!r} must be at least {least}, got {value!r}")
     return value
 
 
@@ -264,6 +265,14 @@ def _real(path, key, value) -> float:
             pass
     if math.isnan(number):
         raise ValueError(f"{path}: config key {key!r} must be a number, got {value!r}")
+    return number
+
+
+def _snr_db(path, key, value) -> float:
+    """A real number or +inf, which simulates noise-free data."""
+    number = _real(path, key, value)
+    if number == -math.inf:
+        raise ValueError(f"{path}: config key {key!r} must be a real number or +inf, got {value!r}")
     return number
 
 
@@ -317,7 +326,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
     dataset_kwargs = _section(
         path, raw, "dataset", _field_names(DatasetConfig),
-        {"snr_db": _real, "hrf_spread": _real},
+        {"snr_db": _snr_db, "hrf_spread": _real},
     )
 
     assisted = raw.get("assisted", [])
@@ -326,8 +335,8 @@ def load_config(path) -> ExperimentConfig:
 
     try:
         return ExperimentConfig(
-            k=_integer(path, "k", raw["k"]),
-            seed=_integer(path, "seed", raw.get("seed", 0)),
+            k=_integer(path, "k", raw["k"], least=1),
+            seed=_integer(path, "seed", raw.get("seed", 0), least=0),
             conditions=_build_conditions(path, assisted),
             thetas=sparsity.get("theta"),
             phis=sparsity.get("phi"),

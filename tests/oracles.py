@@ -3,8 +3,8 @@
 These deliberately avoid the package's own code paths: the threshold search
 is a plain bisection, spectral quantities come from dense eigensolvers, the
 surrogates are written out from their definitions, and correlations,
-matching, merging and alignment go one pair at a time or over dense
-materialized sources.
+matching and alignment go one pair at a time or over dense materialized
+sources.
 """
 
 import numpy as np
@@ -257,32 +257,6 @@ def pairwise_match(truth_d, truth_s, dv, sv, p, full_source=True):
         r_full[i] = full[i, j]
         r_time[i] = time[i, j]
     return mapping, r_full, r_time
-
-
-def pairwise_merge(d, s, threshold):
-    """Merge the course pair of largest |r| beyond the threshold, the first
-    (i, j), i < j, on ties, until none is left; per-pair loops."""
-    d = np.array(d, dtype=float)
-    s = np.array(s, dtype=float)
-    while d.shape[1] > 1:
-        best = None
-        for i in range(d.shape[1]):
-            for j in range(i + 1, d.shape[1]):
-                rho = pair_pearson(d[:, i], d[:, j])
-                if abs(rho) > threshold and (best is None or abs(rho) > abs(best[2])):
-                    best = (i, j, rho)
-        if best is None:
-            break
-        i, j, rho = best
-        sign = 1.0 if rho >= 0 else -1.0
-        d[:, i] = d[:, i] + sign * d[:, j]
-        nrm = np.linalg.norm(d[:, i])
-        if nrm > 0:
-            d[:, i] /= nrm
-        s[i] = s[i] + sign * s[j]
-        d = np.delete(d, j, axis=1)
-        s = np.delete(s, j, axis=0)
-    return d, s
 
 
 def pairwise_align(dv, sv, delta):

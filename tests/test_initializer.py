@@ -13,14 +13,14 @@ from iadl.initializer import (
     align_assisted,
     ica_decompose,
     initialize,
-    merge_correlated,
     order_by_sparsity,
     refine_full_sparsity,
 )
 from iadl.projections import compute_weights, project_weighted_l1_rows
+from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
-from oracles import pair_pearson, pairwise_align, pairwise_merge, weighted_l1_norm
+from oracles import pair_pearson, pairwise_align, weighted_l1_norm
 
 
 def laplace_sources(rng, k, n):
@@ -40,7 +40,7 @@ def best_abs_corr(est_maps, true_map):
 def test_ica_recovers_two_source_toy(rng):
     s_true = laplace_sources(rng, 2, 6000)
     # four time points; the mixing courses correlate at about -0.53 once
-    # centred, well below the merge threshold, so both components come back
+    # centred
     mixing = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5], [-1.0, 0.5]])
     assert abs(pair_pearson(mixing[:, 0], mixing[:, 1])) < 0.6
     x = DataMatrix(mixing @ s_true)
@@ -68,25 +68,6 @@ def test_ica_rejects_too_many_components(rng):
     x = DataMatrix(rng.standard_normal((5, 50)))
     with pytest.raises(ValueError):
         ica_decompose(x, 6)
-
-
-def test_merge_collapses_duplicate(rng):
-    t, n = 30, 200
-    d = rng.standard_normal((t, 3))
-    d[:, 2] = -d[:, 0] + 1e-3 * rng.standard_normal(t)  # split source
-    s = rng.standard_normal((3, n))
-    d2, s2 = merge_correlated(d, s, 0.95)
-    assert d2.shape[1] == 2
-    assert s2.shape[0] == 2
-    # sign-aligned summation: merged map carries both contributions
-    np.testing.assert_allclose(s2[0], s[0] - s[2], atol=1e-12)
-
-
-def test_merge_keeps_uncorrelated(rng):
-    d, _ = np.linalg.qr(rng.standard_normal((20, 4)))
-    s = rng.standard_normal((4, 50))
-    d2, s2 = merge_correlated(d, s, 0.95)
-    assert d2.shape[1] == 4
 
 
 # -- alignment -------------------------------------------------------------------
@@ -151,29 +132,6 @@ def correlated_courses(rng, t, base, copies, dup):
     return d[:, rng.permutation(d.shape[1])]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    t=st.integers(3, 12),
-    base=st.integers(1, 4),
-    copies=st.integers(0, 3),
-    dup=st.booleans(),
-    threshold=st.floats(0.5, 0.99),
-)
-def test_merge_matches_pairwise_reference(seed, t, base, copies, dup, threshold):
-    rng = np.random.default_rng(seed)
-    d = correlated_courses(rng, t, base, copies, dup)
-    k = d.shape[1]
-    s = rng.standard_normal((k, 7))
-    r = _course_table(d, d)
-    ref = np.array([[pair_pearson(d[:, i], d[:, j]) for j in range(k)] for i in range(k)])
-    np.testing.assert_allclose(r, np.clip(ref, -1.0, 1.0), rtol=0, atol=1e-12)
-    d_ref, s_ref = pairwise_merge(d, s, threshold)
-    d_new, s_new = merge_correlated(d, s, threshold)
-    np.testing.assert_array_equal(d_new, d_ref)
-    np.testing.assert_array_equal(s_new, s_ref)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -198,22 +156,14 @@ def test_align_matches_pairwise_reference(seed, t, m, extra, dup, n_const):
         dv[:, j] = rng.choice([0.0, 0.5, -2.0])
     dv = dv[:, rng.permutation(dv.shape[1])]
     sv = rng.standard_normal((dv.shape[1], 6))
+    k = dv.shape[1]
+    r = _course_table(dv, dv)
+    ref = np.array([[pair_pearson(dv[:, i], dv[:, j]) for j in range(k)] for i in range(k)])
+    np.testing.assert_allclose(r, np.clip(ref, -1.0, 1.0), rtol=0, atol=1e-12)
     d_ref, s_ref = pairwise_align(dv, sv, delta)
     d_new, s_new = align_assisted(Dictionary(dv), CoefficientMatrix(sv), TaskTimeCourses(delta))
     np.testing.assert_array_equal(d_new.values, d_ref)
     np.testing.assert_array_equal(s_new.values, s_ref)
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), dup=st.booleans())
-def test_two_sample_courses_never_merge_at_threshold_one(seed, k, dup):
-    # any two non-constant two-sample courses correlate at |r| = 1
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal((2, k))
-    if dup:
-        d[:, -1] = d[:, 0]
-    d2, s2 = merge_correlated(d, rng.standard_normal((k, 5)), 1.0)
-    assert d2.shape == (2, k) and s2.shape == (k, 5)
 
 
 # -- refinement -------------------------------------------------------------------
@@ -303,36 +253,54 @@ def test_order_stable_on_ties(rng):
 # -- full pipeline ----------------------------------------------------------------
 
 
-def test_pipeline_shapes_and_reconstruction_invariance(rng):
+def toy_pipeline_case(rng):
+    """Five sources at K = 5."""
     t, n, k, m = 25, 300, 5, 2
     d_true = rng.standard_normal((t, k))
     s_true = laplace_sources(rng, k, n) * (rng.random((k, n)) < 0.3)
     x = DataMatrix(d_true @ s_true + 0.02 * rng.standard_normal((t, n)))
     delta = TaskTimeCourses(d_true[:, :m] / np.abs(d_true[:, :m]).max())
     spec = ConstraintSpec(phi=np.full(k, 60.0), c_delta=1.0)
-    cfg = InitConfig(rng_seed=11, refine_iters=4)
-    d0, s0 = initialize(x, k, delta, spec, cfg)
-    assert d0.values.shape == (t, k)
-    assert s0.values.shape == (k, n)
-    assert d0.assisted_count == m
-    # refinement may move assisted atoms, but only inside the similarity ball
-    for i in range(m):
-        dist_sq = np.sum((d0.values[:, i] - delta.values[:, i]) ** 2)
-        assert dist_sq <= spec.c_delta + 1e-9
-    norms = np.linalg.norm(d0.values[:, m:], axis=0)
-    assert np.all(norms**2 <= spec.c_d + 1e-9)
-    # the ordering permutation alone never changes the reconstruction
-    d_ref, s_ref = refine_full_sparsity(
-        x, *align_assisted(*ica_decompose(x, k, cfg), delta), delta, spec, cfg
-    )
-    d_ord, s_ord = order_by_sparsity(d_ref, s_ref, m)
-    np.testing.assert_allclose(
-        d_ord.values @ s_ord.values, d_ref.values @ s_ref.values, atol=1e-10
-    )
-    # the pipeline output is feasible for the budgets under its own weights
-    w = compute_weights(s0.values, spec.epsilon)
-    wl1 = np.einsum("ij,ij->i", w, np.abs(s0.values))
-    assert np.all(wl1 <= spec.phi + 1e-9)
+    return x, k, delta, spec, InitConfig(rng_seed=11, refine_iters=4)
+
+
+def inflated_mini_pipeline_case():
+    """A mini subject's 8 sources at K = 12. ICA splits sources into
+    components whose courses correlate beyond 0.95; the start keeps all 12."""
+    dataset = mini_benchmark(np.random.default_rng(1))
+    delta = TaskTimeCourses(dataset.truth.time_courses[:, list(dataset.assisted_indices)])
+    spec = ConstraintSpec(phi=np.full(12, 160.0), c_delta=0.9)
+    return dataset.x, 12, delta, spec, InitConfig(rng_seed=1)
+
+
+def test_pipeline_shapes_and_reconstruction_invariance(rng):
+    for x, k, delta, spec, cfg in (toy_pipeline_case(rng), inflated_mini_pipeline_case()):
+        t, n, m = x.n_times, x.n_voxels, delta.n_courses
+        d_ica, s_ica = ica_decompose(x, k, cfg)
+        assert d_ica.values.shape == (t, k)
+        assert s_ica.values.shape == (k, n)
+        d0, s0 = initialize(x, k, delta, spec, cfg)
+        assert d0.values.shape == (t, k)
+        assert s0.values.shape == (k, n)
+        assert d0.assisted_count == m
+        # refinement may move assisted atoms, but only inside the similarity ball
+        for i in range(m):
+            dist_sq = np.sum((d0.values[:, i] - delta.values[:, i]) ** 2)
+            assert dist_sq <= spec.c_delta + 1e-9
+        norms = np.linalg.norm(d0.values[:, m:], axis=0)
+        assert np.all(norms**2 <= spec.c_d + 1e-9)
+        # the ordering permutation alone never changes the reconstruction
+        d_ref, s_ref = refine_full_sparsity(
+            x, *align_assisted(d_ica, s_ica, delta), delta, spec, cfg
+        )
+        d_ord, s_ord = order_by_sparsity(d_ref, s_ref, m)
+        np.testing.assert_allclose(
+            d_ord.values @ s_ord.values, d_ref.values @ s_ref.values, atol=1e-10
+        )
+        # the pipeline output is feasible for the budgets under its own weights
+        w = compute_weights(s0.values, spec.epsilon)
+        wl1 = np.einsum("ij,ij->i", w, np.abs(s0.values))
+        assert np.all(wl1 <= spec.phi + 1e-9)
 
 
 def test_pipeline_deterministic(rng):

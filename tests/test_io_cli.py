@@ -324,14 +324,18 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         ("k: 2\nsparsity:\n  phi: [12, many]\n", "'sparsity.phi[1]'"),
         (_PHI_CONFIG + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: [2]\n",
          "'assisted[0].amplitude'"),
+        ("k: 0\nsparsity:\n  phi: [12]\n", "'k'"),
+        (_PHI_CONFIG + "seed: -1\n", "'seed'"),
+        (_PHI_CONFIG + "dataset:\n  snr_db: -.inf\n", "'dataset.snr_db'"),
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
-         "phi_entry", "amplitude"],
+         "phi_entry", "amplitude", "k_zero", "seed_negative", "snr_db_minus_inf"],
 )
 def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     # a float count would be truncated and a boolean read as 0 or 1; a
-    # string would fail later, inside the code that compares it
+    # string would fail later, inside the code that compares it; a number
+    # out of range would fail, if at all, without the file and the key
     path = tmp_path / "c.yaml"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: config key {key} must be")):
@@ -371,6 +375,18 @@ def test_readme_config_schema_loads(tmp_path):
     for section, cls in (("solver", SolverConfig), ("init", InitConfig),
                          ("dataset", DatasetConfig)):
         assert set(documented[section]) == {f.name for f in fields(cls)} - {"rng_seed"}
+
+
+def test_readme_library_block_runs(capsys):
+    # The README's "Library use" block runs as written and prints its fit's
+    # stop reason and final objective.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    trace = namespace["result"].trace
+    assert capsys.readouterr().out == f"{trace.stop_reason} {trace.objective[-1]}\n"
+    assert trace.stop_reason == "max_iters" and np.isfinite(trace.objective[-1])
 
 
 # -- CLI pipeline -------------------------------------------------------------------
