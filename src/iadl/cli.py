@@ -41,7 +41,9 @@ def _load_config(args) -> iadl_io.ExperimentConfig:
     """The config with the --seed override applied; the seed also seeds the
     initializer."""
     config = iadl_io.load_config(args.config)
-    seed = config.seed if args.seed is None else int(args.seed)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    seed = config.seed if args.seed is None else args.seed
     init = InitConfig(**{**config.init.__dict__, "rng_seed": seed})
     return iadl_io.ExperimentConfig(**{**config.__dict__, "seed": seed, "init": init})
 

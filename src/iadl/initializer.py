@@ -3,12 +3,12 @@ alignment, full-matrix sparsity refinement, sparsity-ordered permutation,
 and one row projection followed by a support cut that makes every row
 feasible under its own reweighting.
 
-The ICA stage is a self-contained symmetric fixed-point iteration (tanh
-contrast) on PCA-whitened data, so the initializer carries no external
-dependency. It returns all k components, even where k exceeds the
-sources and a source comes back split in two, and every later step keeps
-them. A start computed once can be reused as it is: ``iadl fit
---init-dir`` hands the saved pair straight to the solver.
+The ICA stage is a symmetric fixed-point iteration (tanh contrast) on
+data whitened by the k leading eigenpairs of its covariance, which SciPy's
+subset eigensolver computes alone. It returns all k components, even
+where k exceeds the sources and a source comes back split in two, and
+every later step keeps them. A start computed once can be reused as it
+is: ``iadl fit --init-dir`` hands the saved pair straight to the solver.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .evaluation import _course_table
 from .projections import (
@@ -50,24 +51,42 @@ def _sym_decorrelate(w):
     return (vecs / np.sqrt(vals)) @ vecs.T @ w
 
 
+def _whiten(xv, k):
+    """The ``k`` leading eigenpairs of the voxel-sample covariance of the
+    centred rows of ``xv``, in descending order, and the whitened data
+    ``z`` they give.
+
+    Only the top ``k`` pairs are solved for. Each eigenvector's sign is
+    fixed so that its largest-magnitude entry is positive (the first such
+    index on ties), so the result does not depend on the LAPACK driver's
+    choice of sign. Eigenvalues are floored at 1e-12 of the largest.
+    """
+    t, n = xv.shape
+    xc = xv - xv.mean(axis=1, keepdims=True)
+    cov = (xc @ xc.T) / n
+    evals, evecs = scipy.linalg.eigh(cov, subset_by_index=[t - k, t - 1])
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
+    evecs = evecs * np.where(pivots < 0.0, -1.0, 1.0)
+    evals = np.maximum(evals, 1e-12 * max(evals[0], 1e-300))
+    z = (evecs / np.sqrt(evals)).T @ xc
+    return evals, evecs, z
+
+
 def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
     """PCA-whitened symmetric fixed-point ICA over the voxel samples.
 
-    Returns the mixing estimate as ``k`` time courses and the ``k``
-    component maps.
+    The whitening solves for the ``k`` leading eigenpairs of the T x T
+    covariance only, and fixes each eigenvector's sign so that its
+    largest-magnitude entry is positive (``_whiten``). Returns the mixing
+    estimate as ``k`` time courses and the ``k`` component maps.
     """
     xv = x.values
     t, n = xv.shape
     if not 1 <= k <= t:
         raise ValueError(f"component count must lie in [1, {t}]")
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    cov = (xc @ xc.T) / n
-    evals, evecs = np.linalg.eigh(cov)
-    evals = evals[::-1][:k]
-    evecs = evecs[:, ::-1][:, :k]
-    evals = np.maximum(evals, 1e-12 * max(evals[0], 1e-300))
-    z = (evecs / np.sqrt(evals)).T @ xc
+    evals, evecs, z = _whiten(xv, k)
 
     rng = np.random.default_rng(cfg.rng_seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))

@@ -4,8 +4,8 @@ Matrices travel in one format, a small checked binary container (magic
 ``IADL``, version, row and column counts, little-endian float64 payload),
 whatever the file's extension. Experiment configs are YAML documents
 validated into typed objects; a key the schema does not know, or a number
-of the wrong kind, is refused with the file and the key named, and so are
-a count below 1, a negative seed and an SNR of -inf.
+of the wrong kind or out of its range, is refused with the file and the
+key named.
 Every simulated, initialized or fitted artifact directory carries a
 manifest with content checksums, so a start or a fit is refused against
 data other than its own.
@@ -18,6 +18,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +132,6 @@ class DatasetConfig:
     def __post_init__(self):
         if self.recipe not in ("mini", "full"):
             raise ValueError(f"unknown dataset recipe {self.recipe!r}")
-        if not 0.0 <= self.hrf_spread < 1.0:
-            raise ValueError("hrf_spread must lie in [0, 1)")
 
     @property
     def n_times(self) -> int:
@@ -166,13 +165,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.thetas is None) == (self.phis is None):
             raise ValueError("give exactly one of sparsity.theta or sparsity.phi")
-        if isinstance(self.c_delta, str):
-            if self.c_delta != "auto":
-                raise ValueError("c_delta must be a number or 'auto'")
-        elif self.c_delta < 0:
-            raise ValueError("c_delta must be non-negative")
-        if self.c_d <= 0 or self.epsilon <= 0:
-            raise ValueError("c_d and epsilon must be positive")
 
     def resolved_conditions(self) -> tuple:
         """Explicit conditions, else those fixed by the dataset recipe."""
@@ -268,12 +260,22 @@ def _real(path, key, value) -> float:
     return number
 
 
-def _snr_db(path, key, value) -> float:
-    """A real number or +inf, which simulates noise-free data."""
-    number = _real(path, key, value)
-    if number == -math.inf:
-        raise ValueError(f"{path}: config key {key!r} must be a real number or +inf, got {value!r}")
-    return number
+def _real_in(accepts, words):
+    """A ``_real`` rule that also refuses a number ``accepts`` rejects,
+    saying the key must be ``words``."""
+    def rule(path, key, value) -> float:
+        number = _real(path, key, value)
+        if not accepts(number):
+            raise ValueError(f"{path}: config key {key!r} must be {words}, got {value!r}")
+        return number
+    return rule
+
+
+_positive = _real_in(lambda v: v > 0, "positive")
+_non_negative = _real_in(lambda v: v >= 0, "non-negative")
+# +inf simulates noise-free data
+_snr_db = _real_in(lambda v: v != -math.inf, "a real number or +inf")
+_hrf_spread = _real_in(lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def _reals(path, key, values) -> tuple:
@@ -313,20 +315,21 @@ def load_config(path) -> ExperimentConfig:
     )
     c_delta = raw.get("c_delta", "auto")
     if c_delta != "auto":
-        c_delta = _real(path, "c_delta", c_delta)
+        c_delta = _non_negative(path, "c_delta", c_delta)
 
     solver_kwargs = _section(
         path, raw, "solver", _field_names(SolverConfig),
-        {"max_iters": _integer, "rel_obj_tol": _real},
+        {"max_iters": partial(_integer, least=1), "rel_obj_tol": _non_negative},
     )
     init_kwargs = _section(
-        path, raw, "init", _field_names(InitConfig), {"refine_iters": _integer}
+        path, raw, "init", _field_names(InitConfig),
+        {"refine_iters": partial(_integer, least=0)},
     )
     if "rng_seed" in init_kwargs:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
     dataset_kwargs = _section(
         path, raw, "dataset", _field_names(DatasetConfig),
-        {"snr_db": _snr_db, "hrf_spread": _real},
+        {"snr_db": _snr_db, "hrf_spread": _hrf_spread},
     )
 
     assisted = raw.get("assisted", [])
@@ -341,8 +344,8 @@ def load_config(path) -> ExperimentConfig:
             thetas=sparsity.get("theta"),
             phis=sparsity.get("phi"),
             c_delta=c_delta,
-            c_d=_real(path, "c_d", raw.get("c_d", 1.0)),
-            epsilon=_real(path, "epsilon", raw.get("epsilon", 1e-6)),
+            c_d=_positive(path, "c_d", raw.get("c_d", 1.0)),
+            epsilon=_positive(path, "epsilon", raw.get("epsilon", 1e-6)),
             solver=SolverConfig(**solver_kwargs),
             init=InitConfig(**init_kwargs),
             dataset=DatasetConfig(**dataset_kwargs),

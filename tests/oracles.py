@@ -106,6 +106,20 @@ def oracle_spectral_norm(m):
     return float(np.max(np.linalg.eigvalsh(np.asarray(m, dtype=float))))
 
 
+def dense_whitening(x, k):
+    """The ``k`` leading eigenpairs of the centred rows' covariance, taken
+    from a full dense eigensolve in descending order, each vector signed so
+    its largest-magnitude entry (the first on ties) is positive; and the
+    data whitened by them."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    evals, evecs = np.linalg.eigh(xc @ xc.T / x.shape[1])
+    evals, evecs = evals[::-1][:k], evecs[:, ::-1][:, :k].copy()
+    for j in range(k):
+        if evecs[np.argmax(np.abs(evecs[:, j])), j] < 0:
+            evecs[:, j] *= -1.0
+    return evals, evecs, (evecs / np.sqrt(evals)).T @ xc
+
+
 def coefficient_surrogate(x, d, s, s_anchor, c_s: float) -> float:
     """Quadratic majorizer of the loss in the coefficient block, written out
     from its definition."""

@@ -10,6 +10,7 @@ from iadl.initializer import (
     InitConfig,
     _cut_to_budget,
     _feasible_start,
+    _whiten,
     align_assisted,
     ica_decompose,
     initialize,
@@ -20,7 +21,7 @@ from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
-from oracles import pair_pearson, pairwise_align, weighted_l1_norm
+from oracles import dense_whitening, pair_pearson, pairwise_align, weighted_l1_norm
 
 
 def laplace_sources(rng, k, n):
@@ -68,6 +69,38 @@ def test_ica_rejects_too_many_components(rng):
     x = DataMatrix(rng.standard_normal((5, 50)))
     with pytest.raises(ValueError):
         ica_decompose(x, 6)
+
+
+@pytest.mark.parametrize(
+    "t, n, k",
+    [(30, 200, 5), (60, 40, 6), (30, 200, 1), (30, 200, 30)],
+    ids=["wide", "tall", "k_one", "k_all"],
+)
+def test_whiten_matches_dense_reference(rng, t, n, k):
+    # the top-k solve against every eigenpair of a full dense solve, under
+    # the same sign rule
+    x = rng.standard_normal((t, 4)) @ rng.laplace(size=(4, n)) + rng.standard_normal((t, n))
+    evals, evecs, z = _whiten(x, k)
+    ref_evals, ref_evecs, ref_z = dense_whitening(x, k)
+    assert evals.shape == (k,) and evecs.shape == (t, k) and z.shape == (k, n)
+    np.testing.assert_allclose(evals, ref_evals, rtol=1e-10, atol=0.0)
+    assert np.max(np.abs(evecs - ref_evecs)) <= 1e-10
+    assert np.max(np.abs(z - ref_z)) <= 1e-10 * np.max(np.abs(ref_z))
+    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
+    assert np.all(pivots > 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ica_warns_at_its_cap_and_returns_k_components(seed):
+    # Gaussian sources leave the tanh contrast nothing to settle on, so the
+    # fixed point runs to its cap
+    rng = np.random.default_rng(seed)
+    t, n, k = 8, 2000, 6
+    x = DataMatrix(rng.standard_normal((t, n)))
+    with pytest.warns(UserWarning, match="ICA did not reach tolerance"):
+        d, s = ica_decompose(x, k, InitConfig(rng_seed=seed))
+    assert d.values.shape == (t, k) and s.values.shape == (k, n)
+    assert np.all(np.isfinite(d.values)) and np.all(np.isfinite(s.values))
 
 
 # -- alignment -------------------------------------------------------------------

@@ -327,10 +327,21 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         ("k: 0\nsparsity:\n  phi: [12]\n", "'k'"),
         (_PHI_CONFIG + "seed: -1\n", "'seed'"),
         (_PHI_CONFIG + "dataset:\n  snr_db: -.inf\n", "'dataset.snr_db'"),
+        (_PHI_CONFIG + "solver:\n  max_iters: 0\n", "'solver.max_iters'"),
+        (_PHI_CONFIG + "solver:\n  rel_obj_tol: -1.0e-8\n", "'solver.rel_obj_tol'"),
+        (_PHI_CONFIG + "init:\n  refine_iters: -1\n", "'init.refine_iters'"),
+        (_PHI_CONFIG + "dataset:\n  hrf_spread: 1.5\n", "'dataset.hrf_spread'"),
+        (_PHI_CONFIG + "dataset:\n  hrf_spread: -0.1\n", "'dataset.hrf_spread'"),
+        (_PHI_CONFIG + "c_d: -1\n", "'c_d'"),
+        (_PHI_CONFIG + "epsilon: 0\n", "'epsilon'"),
+        (_PHI_CONFIG + "c_delta: -1\n", "'c_delta'"),
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
-         "phi_entry", "amplitude", "k_zero", "seed_negative", "snr_db_minus_inf"],
+         "phi_entry", "amplitude", "k_zero", "seed_negative", "snr_db_minus_inf",
+         "max_iters_zero", "rel_obj_tol_negative", "refine_iters_negative",
+         "hrf_spread_one_and_a_half", "hrf_spread_negative", "c_d_negative", "epsilon_zero",
+         "c_delta_negative"],
 )
 def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     # a float count would be truncated and a boolean read as 0 or 1; a
@@ -344,6 +355,16 @@ def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(path) in err and key in err
+
+
+def test_cli_refuses_negative_seed_flag(mini_config_path, tmp_path, capsys):
+    # the flag overrides the config's seed, so it is held to the same rule
+    code = main(["simulate", "--config", str(mini_config_path), "--seed", "-1",
+                 "--out", str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "data").exists()
 
 
 def test_config_reads_exponents_without_a_dot(tmp_path):
