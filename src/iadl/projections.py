@@ -58,10 +58,14 @@ def _project_block(v, w, phi):
     out = np.zeros(v.shape)
     for i, survivors in enumerate(keep):
         idx = np.flatnonzero(survivors)
-        # NumPy's default sort: tied breakpoints may come out in another
-        # order than a stable sort gives, which moves the threshold by
-        # rounding only.
+        # NumPy's default sort may order tied breakpoints unlike a stable
+        # sort, which moves the threshold by rounding; a row with ties is
+        # re-sorted stably, so every row sums in the stable scan's order.
         order = idx[np.argsort(ratios[i, idx])]
+        r = ratios[i, order]
+        if np.count_nonzero(r[1:] == r[:-1]):
+            order = idx[np.argsort(ratios[i, idx], kind="stable")]
+            r = ratios[i, order]
         # Suffix sums over the sorted breakpoints; summing from the small
         # end keeps each suffix accurate relative to its own magnitude.
         # Dropped entries precede every survivor in the full sorted order,
@@ -73,7 +77,7 @@ def _project_block(v, w, phi):
         # g evaluated at each breakpoint; first index where it drops to phi
         # or below brackets the active interval (the last breakpoint gives
         # g = 0, so a hit always exists).
-        g = a_after - ratios[i, order] * b_after
+        g = a_after - r * b_after
         k = np.argmax(g <= phi[i])
         gamma = (suf_a[k] - phi[i]) / suf_b[k]
         out[i, idx] = _shrink(v[i, idx], w[i, idx], gamma)
@@ -127,8 +131,6 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     entries whose breakpoint ``|v| / w`` lies at or under that bound; a
     sorted scan of the surviving breakpoints then gives the exact threshold,
     and only the survivors are thresholded (about a fifth of a solver row).
-    Tied breakpoints may be summed in any order, so a row with ties can move
-    by rounding against a stable sort, but not between calls.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)

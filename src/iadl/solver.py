@@ -5,14 +5,20 @@ a quadratic majorizer of the Frobenius loss, then a projection. The
 coefficient block steps S against D and projects each row onto its
 weighted-l1 ball; the dictionary block takes the same step on the
 transposed problem, D^T against S^T, and projects every atom onto its ball
-in one call. So the recorded objective does not increase while each anchor
-lies in the balls it defines (see ``_coefficient_step``). It is read off the
-products X S^T and S S^T that the dictionary step forms, and evaluated
-directly only when it is too small for that expansion.
+in one call. The solver takes its coefficient step from an extrapolated
+anchor, S_k + beta_k (S_k - S_{k-1}), with the weights and so the balls
+still from S_k; an iteration whose objective would rise past the last one
+is redone as the plain step and the extrapolation restarts. So the recorded
+objective never rises on an extrapolated iteration, and on a plain one it
+does not rise while the anchor lies in the balls it defines (see
+``_coefficient_step``). It is read off the products X S^T and S S^T that
+the dictionary step forms, and evaluated directly only when it is too
+small for that expansion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +60,7 @@ class SolverConfig:
 class SolveTrace:
     objective: np.ndarray
     constraint_violation_max: np.ndarray
+    momentum: np.ndarray  # beta_k taken; 0 on a plain or redone step
     iterations_run: int
     stop_reason: str  # "max_iters" or "tolerance"
 
@@ -77,17 +84,19 @@ def _block_step(cross, gram, anchor, project):
     return project((cross + (c * np.eye(gram.shape[0]) - gram) @ anchor) / c)
 
 
-def _coefficient_step(xv, dv, sv, epsilon: float, project):
-    """The block step of S against D, then ``project(a, weights)`` onto the
-    caller's weighted-l1 ball; returns the result and those weights."""
-    # Weights come from the surrogate anchor (the previous iterate). The
-    # objective is non-increasing while the anchor lies in the ball its
-    # weights define, sum |s| / (|s| + epsilon) <= phi; an entry entering
-    # the support near epsilon can break that. Reweighting from the
-    # post-gradient matrix moves the constraint set away from the anchor
-    # and breaks monotonicity.
+def _coefficient_step(xv, dv, sv, epsilon: float, project, anchor=None):
+    """The block step of S against D from ``anchor`` (S itself by default),
+    then ``project(a, weights)`` onto the caller's weighted-l1 ball with
+    weights from S; returns the result and those weights."""
+    # Weights come from the previous iterate S, also when the step starts
+    # from an extrapolated anchor. A plain step's objective is
+    # non-increasing while S lies in the ball its weights define,
+    # sum |s| / (|s| + epsilon) <= phi; an entry entering the support near
+    # epsilon can break that. Reweighting from the post-gradient matrix
+    # moves the constraint set away from the anchor and breaks monotonicity.
     weights = compute_weights(sv, epsilon)
-    return _block_step(dv.T @ xv, dv.T @ dv, sv, lambda a: project(a, weights)), weights
+    anchor = sv if anchor is None else anchor
+    return _block_step(dv.T @ xv, dv.T @ dv, anchor, lambda a: project(a, weights)), weights
 
 
 def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
@@ -104,6 +113,26 @@ def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
     d_t = _block_step(xs.T, gram, dv.T, lambda b: project_similarity_ball(b, centres, radii))
     excess = np.einsum("ij,ij->i", d_t - centres, d_t - centres) - radii
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
+
+
+def _extrapolation(t: float):
+    """The inertial weight beta_k = (t_k - 1) / t_{k+1} and t_{k+1} =
+    (1 + sqrt(1 + 4 t_k^2)) / 2; beta is exactly 0 at t_k = 1."""
+    t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+    return (t - 1.0) / t_next, t_next
+
+
+def _iteration(xv, x_sq: float, dv, sv, anchor, deltav, spec: ConstraintSpec):
+    """One full iteration from (D, S): the coefficient step from ``anchor``
+    onto the row balls that S's weights define, then the dictionary step.
+    Returns the new S and D, their loss and the worst ball violation."""
+    s_new, weights = _coefficient_step(
+        xv, dv, sv, spec.epsilon, lambda a, w: project_weighted_l1_rows(a, w, spec.phi), anchor
+    )
+    wl1 = np.einsum("ij,ij->i", weights, np.abs(s_new))
+    viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
+    d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, deltav, spec)
+    return s_new, d_new, _loss(xv, x_sq, d_new, s_new, xs, gram), max(viol_s, viol_d)
 
 
 def _loss(xv, x_sq: float, dv, sv, xs, gram) -> float:
@@ -154,6 +183,13 @@ def run_iadl(
     """Alternate coefficient and dictionary updates until the objective
     settles or the iteration budget runs out.
 
+    The coefficient step starts from S_k + beta_k (S_k - S_{k-1}), with
+    t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and beta_k = (t_k - 1) /
+    t_{k+1}; its weights, and so its balls, come from S_k, so every iterate
+    is feasible. The dictionary step is plain. An extrapolated iteration
+    whose objective exceeds the last recorded one is redone with beta = 0,
+    and the sequence restarts at t = 1.
+
     The recorded objective is the raw Frobenius loss after each full
     iteration; constraint penalties never enter it. It is computed as
     ||X||^2 - 2<D, X S^T> + <D^T D, S S^T> from the dictionary step's
@@ -170,28 +206,38 @@ def run_iadl(
 
     objective = []
     violations = []
+    momentum = []
     x_sq = float(np.vdot(xv, xv))
     prev_obj = float(np.linalg.norm(xv - dv @ sv) ** 2)
+    s_prev, t = sv, 1.0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        sv, weights = _coefficient_step(
-            xv, dv, sv, spec.epsilon, lambda a, w: project_weighted_l1_rows(a, w, spec.phi)
-        )
-        wl1 = np.einsum("ij,ij->i", weights, np.abs(sv))
-        viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
-        dv, viol_d, xs, gram = _dictionary_step(xv, sv, dv, deltav, spec)
-        obj = _loss(xv, x_sq, dv, sv, xs, gram)
+        beta, t_next = _extrapolation(t)
+        anchor = sv
+        if beta > 0.0:
+            # sv + beta (sv - s_prev), bit for bit, in one K x N buffer
+            anchor = np.subtract(sv, s_prev)
+            anchor *= beta
+            anchor += sv
+        s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, deltav, spec)
+        if beta > 0.0 and obj > prev_obj:
+            # the extrapolated step raised the objective: take the plain
+            # step instead, as the first of a sequence restarted at t = 1
+            beta, t_next = _extrapolation(1.0)
+            s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, sv, deltav, spec)
+        s_prev, sv, dv, t = sv, s_new, d_new, t_next
         objective.append(obj)
-        violations.append(max(viol_s, viol_d))
+        violations.append(viol)
+        momentum.append(beta)
         if abs(prev_obj - obj) / max(prev_obj, 1e-30) < cfg.rel_obj_tol:
             stop_reason = "tolerance"
-            prev_obj = obj
             break
         prev_obj = obj
 
     trace = SolveTrace(
         objective=np.array(objective),
         constraint_violation_max=np.array(violations),
+        momentum=np.array(momentum),
         iterations_run=len(objective),
         stop_reason=stop_reason,
     )

@@ -388,10 +388,10 @@ def test_rows_equal_the_dense_projection_bit_for_bit(rng):
 
 def test_tied_breakpoints_with_inexact_sums_stay_within_the_oracle(rng):
     # v = r w with r from six levels ties the breakpoints |v| / w, while
-    # the sums over tied entries round. The default sort may order ties
-    # unlike the stable scan, which moves the threshold by rounding only:
-    # each row stays within the oracle tolerances and is projected the same
-    # alone as inside its block.
+    # the sums over tied entries round. A row with ties is re-sorted stably,
+    # so the scanned rows equal the stable unfiltered scan bit for bit, stay
+    # within the oracle tolerances and are projected the same alone as
+    # inside their block.
     for _ in range(40):
         k, n = 5, 300
         w = 10.0 ** rng.uniform(-2.0, 2.0, (k, n))
@@ -399,6 +399,11 @@ def test_tied_breakpoints_with_inexact_sums_stay_within_the_oracle(rng):
         v = r * w * rng.choice([-1.0, 1.0], (k, n))
         phi = rng.uniform(0.0, 1.0, k) * np.einsum("ij,ij->i", w, np.abs(v))
         assert all(np.unique(np.abs(v[i]) / w[i]).size < n for i in range(k))
+        scanned = (np.einsum("ij,ij->i", w, np.abs(v)) > phi) & (phi > 0)
+        np.testing.assert_array_equal(
+            projections._project_block(v[scanned], w[scanned], phi[scanned]).view(np.int64),
+            unfiltered_breakpoint_scan(v[scanned], w[scanned], phi[scanned]).view(np.int64),
+        )
         out = project_weighted_l1_rows(v, w, phi)
         for i in range(k):
             assert_row_matches_oracle(v[i], w[i], phi[i], out[i])

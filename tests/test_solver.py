@@ -9,6 +9,8 @@ from iadl.solver import (
     SolverConfig,
     _coefficient_step,
     _dictionary_step,
+    _extrapolation,
+    _iteration,
     run_iadl,
 )
 from iadl.synthgen import mini_benchmark
@@ -18,6 +20,7 @@ from oracles import (
     coefficient_surrogate,
     dictionary_surrogate,
     oracle_ball_columns,
+    oracle_project,
     oracle_spectral_norm,
     per_atom_dictionary_step,
     random_feasible_points,
@@ -254,31 +257,48 @@ def test_run_iadl_fixed_point_at_global_optimum(rng):
 
 
 def test_run_iadl_dense_budgets_match_reference_run(rng):
-    # with phi_i = N and a start above the solution scale the trajectory
-    # contracts, the row constraints stay silent, and the solve must follow
-    # plain norm-bounded alternating updates step for step
+    # with phi_i = N and a start above the solution scale the solve must
+    # follow norm-bounded alternating updates step for step: the coefficient
+    # step from S_k + beta_k (S_k - S_{k-1}) onto the balls of S_k's weights,
+    # redone from S_k with a restart at t = 1 when the loss would rise, and a
+    # plain dictionary step. An extrapolated entry can outgrow its anchor's
+    # weight, so even phi_i = N binds; the reference projects by bisection.
     t, n, k = 8, 14, 3
     d0, _ = np.linalg.qr(rng.standard_normal((t, k)))
     s_star = rng.standard_normal((k, n))
     x = d0 @ s_star
     s0 = 3.0 * s_star
     iters = 15
+    spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=0.0, c_d=1.0)
 
-    dv, sv = d0.copy(), s0.copy()
-    for _ in range(iters):
+    def reference_iteration(dv, sv, anchor):
         gram = dv.T @ dv
         c_s = max(1.01 * oracle_spectral_norm(gram), 1e-12)
-        sv = (dv.T @ x + (c_s * np.eye(k) - gram) @ sv) / c_s
-        gram2 = sv @ sv.T
+        a = (dv.T @ x + (c_s * np.eye(k) - gram) @ anchor) / c_s
+        w = 1.0 / (np.abs(sv) + spec.epsilon)
+        s_new = np.array([oracle_project(a[i], w[i], float(n)) for i in range(k)])
+        gram2 = s_new @ s_new.T
         c_d = max(1.01 * oracle_spectral_norm(gram2), 1e-12)
-        b = (x @ sv.T + dv @ (c_d * np.eye(k) - gram2)) / c_d
+        b = (x @ s_new.T + dv @ (c_d * np.eye(k) - gram2)) / c_d
         for j in range(k):
             nrm2 = float(b[:, j] @ b[:, j])
             if nrm2 > 1.0:
                 b[:, j] /= np.sqrt(nrm2)
-        dv = b
+        return b, s_new, float(np.sum((x - b @ s_new) ** 2))
 
-    spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=0.0, c_d=1.0)
+    dv, sv, s_prev, t_k = d0.copy(), s0.copy(), s0.copy(), 1.0
+    last = float(np.sum((x - dv @ sv) ** 2))
+    betas = []
+    for _ in range(iters):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+        beta = (t_k - 1.0) / t_next
+        d_new, s_new, loss = reference_iteration(dv, sv, sv + beta * (sv - s_prev))
+        if beta > 0.0 and loss > last:
+            beta, t_next = 0.0, (1.0 + np.sqrt(5.0)) / 2.0
+            d_new, s_new, loss = reference_iteration(dv, sv, sv)
+        betas.append(beta)
+        s_prev, sv, dv, t_k, last = sv, s_new, d_new, t_next, loss
+
     cfg = SolverConfig(max_iters=iters, rel_obj_tol=0.0)
     res = run_iadl(
         DataMatrix(x),
@@ -290,6 +310,8 @@ def test_run_iadl_dense_budgets_match_reference_run(rng):
     )
     np.testing.assert_allclose(res.coefficients.values, sv, rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(res.dictionary.values, dv, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(res.trace.momentum, betas, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(res.trace.momentum) > iters // 2
 
 
 def test_run_iadl_monotone_objective_and_feasible(rng):
@@ -302,8 +324,34 @@ def test_run_iadl_monotone_objective_and_feasible(rng):
         assert np.all(res.trace.constraint_violation_max <= 1e-9)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def property_instance(seed, t, n, k, m_share, rank, noise, c_delta, a):
+    """A small random solve from a start inside its balls: noise-free data,
+    K above the data rank, M = 0 and M = K, pinned assisted atoms
+    (c_delta = 0), and X and S scaled by 2^a. At a = 30 the weights
+    1 / (|s| + epsilon) span past 1e15 within a row. Returns the inputs and
+    the largest radius."""
+    rng = np.random.default_rng(seed)
+    m = int(round(m_share * k))
+    scale = 2.0**a
+    rank = min(rank, t)
+    x = rng.standard_normal((t, rank)) @ (
+        rng.standard_normal((rank, n)) * (rng.random((rank, n)) < 0.3)
+    )
+    x = DataMatrix(scale * (x + noise * rng.standard_normal((t, n))))
+    delta = TaskTimeCourses(rng.standard_normal((t, m)))
+    d = Dictionary(oracle_ball_columns(rng.standard_normal((t, k)), delta.values, c_delta, 1.0), m)
+    s = CoefficientMatrix(scale * rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.4))
+    # sum_j |s_j| / (|s_j| + epsilon) is below the support size, so budgets
+    # at or above it put the start inside the balls its weights define
+    support = np.count_nonzero(s.values, axis=1)
+    spec = ConstraintSpec(phi=np.minimum(support * rng.uniform(1.0, 2.0, k), n), c_delta=c_delta)
+    return x, d, s, delta, spec, max(float(spec.phi.max()), c_delta, spec.c_d)
+
+
+# An instance whose extrapolated iteration 19 would raise the objective.
+REDO_CASE = dict(seed=41239, t=7, n=20, k=3, m_share=0.5, rank=5, noise=0.1, c_delta=0.5, a=0)
+
+PROPERTY_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     t=st.integers(2, 24),
     n=st.integers(2, 80),
@@ -313,8 +361,11 @@ def test_run_iadl_monotone_objective_and_feasible(rng):
     noise=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
     c_delta=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
     a=st.integers(-30, 30),
-    iters=st.integers(1, 30),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**PROPERTY_DRAWS, iters=st.integers(1, 30))
 @example(seed=1, t=12, n=40, k=4, m_share=0.5, rank=3, noise=0.0, c_delta=0.5, a=0, iters=30)
 @example(seed=2, t=12, n=40, k=8, m_share=0.25, rank=2, noise=0.1, c_delta=0.5, a=0, iters=30)
 @example(seed=3, t=12, n=40, k=4, m_share=1.0, rank=4, noise=0.1, c_delta=0.5, a=0, iters=30)
@@ -327,29 +378,13 @@ def test_run_iadl_monotone_objective_and_feasible(rng):
 def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
     seed, t, n, k, m_share, rank, noise, c_delta, a, iters
 ):
-    # Small random solves from a start inside its balls: noise-free data, K
-    # above the data rank, M = 0 and M = K, pinned assisted atoms
-    # (c_delta = 0), and X and S scaled by 2^a. At a = 30 the weights
-    # 1 / (|s| + epsilon) span past 1e15 within a row. The solve runs one
-    # iteration at a time, so each step's anchor can be inspected.
-    rng = np.random.default_rng(seed)
-    m = int(round(m_share * k))
-    scale = 2.0**a
-    rank = min(rank, t)
-    x = rng.standard_normal((t, rank)) @ (
-        rng.standard_normal((rank, n)) * (rng.random((rank, n)) < 0.3)
+    # The solve runs one iteration at a time, so every step is plain
+    # (beta_1 = 0) and each step's anchor can be inspected.
+    x, d, s, delta, spec, radius = property_instance(
+        seed, t, n, k, m_share, rank, noise, c_delta, a
     )
-    x = scale * (x + noise * rng.standard_normal((t, n)))
-    delta = TaskTimeCourses(rng.standard_normal((t, m)))
-    d = Dictionary(oracle_ball_columns(rng.standard_normal((t, k)), delta.values, c_delta, 1.0), m)
-    s = CoefficientMatrix(scale * rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.4))
-    # sum_j |s_j| / (|s_j| + epsilon) is below the support size, so budgets
-    # at or above it put the start inside the balls its weights define
-    support = np.count_nonzero(s.values, axis=1)
-    spec = ConstraintSpec(phi=np.minimum(support * rng.uniform(1.0, 2.0, k), n), c_delta=c_delta)
-    radius = max(float(spec.phi.max()), c_delta, spec.c_d)
-    x_sq = float(np.sum(x**2))
-    loss = float(np.sum((x - d.values @ s.values) ** 2))
+    x_sq = float(np.sum(x.values**2))
+    loss = float(np.sum((x.values - d.values @ s.values) ** 2))
     cfg = SolverConfig(max_iters=1, rel_obj_tol=0.0)
     for _ in range(iters):
         # the step majorizes the loss at an anchor inside the ball its own
@@ -357,7 +392,7 @@ def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
         # support at a magnitude near epsilon, and the objective may then rise
         own = np.einsum("ij,ij->i", compute_weights(s.values, spec.epsilon), np.abs(s.values))
         inside = bool(np.all(own <= spec.phi))
-        res = run_iadl(DataMatrix(x), d, s, delta, spec, cfg)
+        res = run_iadl(x, d, s, delta, spec, cfg)
         d, s = res.dictionary, res.coefficients
         assert res.trace.constraint_violation_max[0] <= 1e-9 * radius
         # the loss read off the step's products is exact to a few eps times
@@ -366,6 +401,79 @@ def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
         if inside:
             assert res.trace.objective[0] <= loss * (1 + 1e-9) + floor
         loss = res.trace.objective[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**PROPERTY_DRAWS, iters=st.integers(10, 30))
+@example(seed=1, t=12, n=40, k=4, m_share=0.5, rank=3, noise=0.0, c_delta=0.5, a=0, iters=30)
+@example(seed=5, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=30, iters=30)
+@example(seed=6, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=-30, iters=30)
+# a redo at iteration 19: momentum falls to 0 there and then restarts
+@example(**REDO_CASE, iters=30)
+def test_run_iadl_extrapolated_steps_never_raise_the_objective(
+    seed, t, n, k, m_share, rank, noise, c_delta, a, iters
+):
+    # One solve over many iterations, with the coefficient step extrapolated.
+    # An extrapolated iteration whose loss would rise is redone as a plain
+    # step, so the recorded objective falls on every iteration that keeps its
+    # momentum; the balls come from S_k, so every iterate is feasible.
+    x, d, s, delta, spec, radius = property_instance(
+        seed, t, n, k, m_share, rank, noise, c_delta, a
+    )
+    res = run_iadl(x, d, s, delta, spec, SolverConfig(max_iters=iters, rel_obj_tol=0.0))
+    obj, beta = res.trace.objective, res.trace.momentum
+    assert obj.shape == beta.shape == (iters,)
+    assert beta[0] == 0.0 and np.all((beta >= 0.0) & (beta < 1.0))
+    assert np.all(res.trace.constraint_violation_max <= 1e-9 * radius)
+    assert np.all(obj[1:][beta[1:] > 0.0] <= obj[:-1][beta[1:] > 0.0])
+
+
+def test_a_rising_extrapolated_step_is_redone_as_the_plain_step():
+    x, d, s, delta, spec, _ = property_instance(**REDO_CASE)
+    x_sq = float(np.sum(x.values**2))
+
+    def solve(iters, d=d, s=s):
+        return run_iadl(x, d, s, delta, spec, SolverConfig(max_iters=iters, rel_obj_tol=0.0))
+
+    full = solve(30)
+    beta = full.trace.momentum
+    j = int(np.flatnonzero(beta[1:] == 0.0)[0]) + 1
+    assert np.all(beta[1:j] > 0.0) and beta[j + 1] == beta[1]
+
+    # the step it would have taken, from S_j + beta_j (S_j - S_{j-1}) with
+    # t running from t_1 = 1 uninterrupted, raises the objective
+    t_k = 1.0
+    for _ in range(j + 1):
+        beta_j, t_k = _extrapolation(t_k)
+    prev, cur = solve(j - 1).coefficients.values, solve(j)
+    sv = cur.coefficients.values
+    anchor = sv + beta_j * (sv - prev)
+    rising = _iteration(
+        x.values, x_sq, cur.dictionary.values, sv, anchor, delta.values, spec
+    )[2]
+    assert rising > full.trace.objective[j - 1]
+
+    # the recorded iteration is the plain step from (D_j, S_j), bit for bit
+    plain = solve(1, cur.dictionary, cur.coefficients)
+    after = solve(j + 1)
+    assert plain.trace.objective[0] == full.trace.objective[j] <= full.trace.objective[j - 1]
+    np.testing.assert_array_equal(plain.coefficients.values, after.coefficients.values)
+    np.testing.assert_array_equal(plain.dictionary.values, after.dictionary.values)
+
+
+def test_one_iteration_is_the_plain_step(rng):
+    # beta_1 = 0: the first iteration is the plain coefficient step from the
+    # start, bit for bit, then the dictionary step
+    x, d0, s0, delta, spec = make_instance(rng, t=20, n=80, k=5, m=2)
+    res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=1, rel_obj_tol=0.0))
+    s1, _ = _coefficient_step(
+        x.values, d0.values, s0.values, spec.epsilon,
+        lambda a, w: project_weighted_l1_rows(a, w, spec.phi),
+    )
+    d1 = _dictionary_step(x.values, s1, d0.values, delta.values, spec)[0]
+    np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
+    np.testing.assert_array_equal(res.dictionary.values.view(np.int64), d1.view(np.int64))
+    np.testing.assert_array_equal(res.trace.momentum, [0.0])
 
 
 def test_run_iadl_zero_start_and_zero_atoms_take_the_scale_floor(rng):
