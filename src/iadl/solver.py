@@ -7,13 +7,13 @@ weighted-l1 ball; the dictionary block takes the same step on the
 transposed problem, D^T against S^T, and projects every atom onto its ball
 in one call. The solver takes its coefficient step from an extrapolated
 anchor, S_k + beta_k (S_k - S_{k-1}), with the weights and so the balls
-still from S_k; an iteration whose objective would rise past the last one
-is redone as the plain step and the extrapolation restarts. So the recorded
-objective never rises on an extrapolated iteration, and on a plain one it
-does not rise while the anchor lies in the balls it defines (see
-``_coefficient_step``). It is read off the products X S^T and S S^T that
-the dictionary step forms, and evaluated directly only when it is too
-small for that expansion.
+still from S_k. An iteration whose objective would rise past the last one,
+or whose coefficient step moves against the momentum, is redone as the plain
+step and the extrapolation restarts. So the recorded objective never rises
+on an extrapolated iteration, and on a plain one it does not rise while the
+anchor lies in the balls it defines (see ``_coefficient_step``). It is read
+off the products X S^T and S S^T that the dictionary step forms, and
+evaluated directly only when it is too small for that expansion.
 """
 
 from __future__ import annotations
@@ -186,9 +186,11 @@ def run_iadl(
     The coefficient step starts from S_k + beta_k (S_k - S_{k-1}), with
     t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and beta_k = (t_k - 1) /
     t_{k+1}; its weights, and so its balls, come from S_k, so every iterate
-    is feasible. The dictionary step is plain. An extrapolated iteration
-    whose objective exceeds the last recorded one is redone with beta = 0,
-    and the sequence restarts at t = 1.
+    is feasible. The dictionary step is plain. An extrapolated iteration is
+    redone with beta = 0, and the sequence restarts at t = 1, when its
+    objective exceeds the last recorded one or when its gradient mapping
+    points against the momentum, <Y - S_{k+1}, S_{k+1} - S_k> > 0 for the
+    anchor Y (the gradient restart of O'Donoghue and Candès).
 
     The recorded objective is the raw Frobenius loss after each full
     iteration; constraint penalties never enter it. It is computed as
@@ -213,16 +215,12 @@ def run_iadl(
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         beta, t_next = _extrapolation(t)
-        anchor = sv
-        if beta > 0.0:
-            # sv + beta (sv - s_prev), bit for bit, in one K x N buffer
-            anchor = np.subtract(sv, s_prev)
-            anchor *= beta
-            anchor += sv
+        anchor = sv + beta * (sv - s_prev) if beta > 0.0 else sv
         s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, deltav, spec)
-        if beta > 0.0 and obj > prev_obj:
-            # the extrapolated step raised the objective: take the plain
-            # step instead, as the first of a sequence restarted at t = 1
+        if beta > 0.0 and (obj > prev_obj or np.vdot(anchor - s_new, s_new - sv) > 0.0):
+            # the extrapolated step raised the objective, or its gradient
+            # mapping points against the momentum: take the plain step
+            # instead, as the first of a sequence restarted at t = 1
             beta, t_next = _extrapolation(1.0)
             s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, sv, deltav, spec)
         s_prev, sv, dv, t = sv, s_new, d_new, t_next
