@@ -103,8 +103,11 @@ def _estimated_c_delta(config) -> float:
 
 
 def _load_fit_inputs(config, data_dir, blind):
+    """The data, task courses and constraints a start or a fit is computed
+    from, and the checksum of ``x.iadl`` taken from the same read."""
     data_dir = Path(data_dir)
-    x = DataMatrix(iadl_io.load_matrix(data_dir / "x.iadl"), tr=config.dataset.tr)
+    xv, data_checksum = iadl_io._load_matrix_and_digest(data_dir / "x.iadl")
+    x = DataMatrix(xv, tr=config.dataset.tr)
     if blind:
         delta = TaskTimeCourses.empty(x.n_times)
     else:
@@ -116,7 +119,7 @@ def _load_fit_inputs(config, data_dir, blind):
         c_d=config.c_d,
         epsilon=config.epsilon,
     )
-    return x, delta, spec
+    return x, delta, spec, data_checksum
 
 
 def _start_settings(config, spec, blind) -> dict:
@@ -138,7 +141,7 @@ def cmd_init(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
+    x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     d0, s0 = initialize(x, config.k, delta, spec, config.init)
     iadl_io.save_matrix(d0.values, out / "init_dict.iadl")
     iadl_io.save_matrix(s0.values, out / "init_coef.iadl")
@@ -146,7 +149,7 @@ def cmd_init(args) -> int:
         out,
         ["init_dict.iadl", "init_coef.iadl"],
         extra={
-            "data_checksum": iadl_io.sha256_file(Path(args.data) / "x.iadl"),
+            "data_checksum": data_checksum,
             "settings": _start_settings(config, spec, args.blind),
         },
     )
@@ -180,8 +183,7 @@ def cmd_fit(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    x, delta, spec = _load_fit_inputs(config, args.data, args.blind)
-    data_checksum = iadl_io.sha256_file(Path(args.data) / "x.iadl")
+    x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     settings = _start_settings(config, spec, args.blind)
     if args.init_dir:
         d0, s0 = _load_start(Path(args.init_dir), data_checksum, settings, delta)

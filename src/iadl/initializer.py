@@ -5,10 +5,14 @@ feasible under its own reweighting.
 
 The ICA stage is a symmetric fixed-point iteration (tanh contrast) on
 data whitened by the k leading eigenpairs of its covariance, which SciPy's
-subset eigensolver computes alone. It returns all k components, even
-where k exceeds the sources and a source comes back split in two, and
-every later step keeps them. A start computed once can be reused as it
-is: ``iadl fit --init-dir`` hands the saved pair straight to the solver.
+subset eigensolver computes alone. It stops when an iterate matches the one
+before it (converged), or when it matches the one two steps back while the
+one before still differs: the iteration has fallen into a 2-cycle, which
+more iterations would only repeat. Otherwise it stops at its cap. It
+returns all k components, even where k exceeds the sources and a source
+comes back split in two, and every later step keeps them. A start computed
+once can be reused as it is: ``iadl fit --init-dir`` hands the saved pair
+straight to the solver.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from .solver import _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
-# ICA stops after this many fixed-point iterations, or once no unmixing row
-# moves by more than the tolerance.
+# ICA stops once no unmixing row moves by more than the tolerance from the
+# previous iterate (converged), or from the iterate two steps back while some
+# row still moves from the previous one (a 2-cycle, stopped on the phase the
+# cap would end on), and otherwise after this many fixed-point iterations.
 _ICA_MAX_ITERS = 400
 _ICA_TOL = 1e-7
 
@@ -49,6 +55,12 @@ def _sym_decorrelate(w):
     vals, vecs = np.linalg.eigh(w @ w.T)
     vals = np.maximum(vals, 1e-12 * vals.max())
     return (vecs / np.sqrt(vals)) @ vecs.T @ w
+
+
+def _drift(w, w_ref):
+    """The largest ``1 - |cos|`` between a row of ``w`` and the same row of
+    ``w_ref``; both have orthonormal rows, and a sign flip does not count."""
+    return float(np.max(1.0 - np.abs(np.diag(w @ w_ref.T))))
 
 
 def _whiten(xv, k):
@@ -90,19 +102,33 @@ def ica_decompose(x: DataMatrix, k: int, cfg: InitConfig = InitConfig()):
 
     rng = np.random.default_rng(cfg.rng_seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
-    converged = False
-    for _ in range(_ICA_MAX_ITERS):
+    w_back = None  # the iterate two steps back
+    for i in range(1, _ICA_MAX_ITERS + 1):
         wz = w @ z
         g = np.tanh(wz)
         w_new = (g @ z.T) / n - np.diag(np.mean(1.0 - g**2, axis=1)) @ w
         w_new = _sym_decorrelate(w_new)
-        drift = float(np.max(1.0 - np.abs(np.diag(w_new @ w.T))))
-        w = w_new
-        if drift < _ICA_TOL:
-            converged = True
+        if _drift(w_new, w) < _ICA_TOL:
+            w = w_new
             break
-    if not converged:
-        warnings.warn("ICA did not reach tolerance; returning best iterate", stacklevel=2)
+        if w_back is not None and _drift(w_new, w_back) < _ICA_TOL:
+            # Iterates i and i - 1 alternate from here on; the cap would end
+            # on the one whose parity matches its own.
+            w = w_new if (_ICA_MAX_ITERS - i) % 2 == 0 else w
+            warnings.warn(
+                f"ICA did not reach tolerance: from iteration {i} its fixed point "
+                f"alternates between two iterates; returning the one the "
+                f"{_ICA_MAX_ITERS}-iteration cap would end on",
+                stacklevel=2,
+            )
+            break
+        w_back, w = w, w_new
+    else:
+        warnings.warn(
+            f"ICA did not reach tolerance in {_ICA_MAX_ITERS} iterations; "
+            "returning the last iterate",
+            stacklevel=2,
+        )
 
     s = w @ z
     d = (evecs * np.sqrt(evals)) @ w.T

@@ -53,7 +53,18 @@ def save_matrix(values, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
+    return _parse_matrix(path.read_bytes(), path)
+
+
+def _load_matrix_and_digest(path) -> tuple[np.ndarray, str]:
+    """``load_matrix(path)`` and ``sha256_file(path)`` from one read."""
+    path = Path(path)
     raw = path.read_bytes()
+    return _parse_matrix(raw, path), hashlib.sha256(raw).hexdigest()
+
+
+def _parse_matrix(raw: bytes, path) -> np.ndarray:
+    """The matrix in the container bytes ``raw`` read from ``path``."""
     if len(raw) < _HEADER.size:
         raise MatrixFileError(f"{path}: truncated header")
     magic, version, rows, cols = _HEADER.unpack_from(raw)

@@ -4,10 +4,13 @@ These deliberately avoid the package's own code paths: the threshold search
 is a plain bisection, spectral quantities come from dense eigensolvers, the
 surrogates are written out from their definitions, and correlations,
 matching and alignment go one pair at a time or over dense materialized
-sources.
+sources. The ICA reference alone reuses the package's whitening, because it
+checks the fixed-point loop's stops, not its arithmetic.
 """
 
 import numpy as np
+
+from iadl.initializer import _sym_decorrelate, _whiten
 
 
 def weighted_l1_norm(x, w) -> float:
@@ -118,6 +121,29 @@ def dense_whitening(x, k):
         if evecs[np.argmax(np.abs(evecs[:, j])), j] < 0:
             evecs[:, j] *= -1.0
     return evals, evecs, (evecs / np.sqrt(evals)).T @ xc
+
+
+def capped_fixed_point_ica(x, k, rng_seed, max_iters=400, tol=1e-7):
+    """Symmetric tanh fixed-point ICA that stops only when consecutive
+    unmixing matrices match to ``tol`` (largest ``1 - |cos|`` over rows) or
+    after ``max_iters`` iterations; returns the mixing courses, the maps and
+    the iterations run.
+
+    This is the package's loop without its 2-cycle stop. It takes the
+    package's whitening and symmetric decorrelation, so that wherever the
+    two loops run the same iterations their results agree bit for bit.
+    """
+    evals, evecs, z = _whiten(x, k)
+    n = x.shape[1]
+    w = _sym_decorrelate(np.random.default_rng(rng_seed).standard_normal((k, k)))
+    for iteration in range(1, max_iters + 1):
+        g = np.tanh(w @ z)
+        w_new = _sym_decorrelate((g @ z.T) / n - np.diag(np.mean(1.0 - g**2, axis=1)) @ w)
+        moved = float(np.max(1.0 - np.abs(np.diag(w_new @ w.T))))
+        w = w_new
+        if moved < tol:
+            break
+    return (evecs * np.sqrt(evals)) @ w.T, w @ z, iteration
 
 
 def coefficient_surrogate(x, d, s, s_anchor, c_s: float) -> float:

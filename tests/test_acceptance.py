@@ -115,7 +115,7 @@ def mini_study():
     arms = {"iadl": [], "pinned": [], "blind": [], "mistuned": [], "inflated_k": []}
     start = time.time()
     with pytest.warns(UserWarning):
-        # some ICA runs stop at the iteration cap and warn; best iterate is used
+        # some K = 12 ICA runs wander to the iteration cap and warn
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
             subject = sample_hrf(rng, 0.3)

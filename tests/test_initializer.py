@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iadl import initializer
 from iadl.evaluation import _course_table
+from iadl.hrf import sample_hrf
 from iadl.initializer import (
     InitConfig,
     _cut_to_budget,
@@ -21,7 +24,13 @@ from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.synthgen import mini_benchmark
 from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
-from oracles import dense_whitening, pair_pearson, pairwise_align, weighted_l1_norm
+from oracles import (
+    capped_fixed_point_ica,
+    dense_whitening,
+    pair_pearson,
+    pairwise_align,
+    weighted_l1_norm,
+)
 
 
 def laplace_sources(rng, k, n):
@@ -101,6 +110,65 @@ def test_ica_warns_at_its_cap_and_returns_k_components(seed):
         d, s = ica_decompose(x, k, InitConfig(rng_seed=seed))
     assert d.values.shape == (t, k) and s.values.shape == (k, n)
     assert np.all(np.isfinite(d.values)) and np.all(np.isfinite(s.values))
+
+
+def acceptance_subject(seed):
+    """The mini subject that the acceptance study draws for ``seed``."""
+    rng = np.random.default_rng(1000 + seed)
+    return mini_benchmark(rng, hrf_params=sample_hrf(rng, 0.3)).x
+
+
+def counted_ica(monkeypatch, x, k, seed):
+    """``ica_decompose``'s factors and the fixed-point iterations it ran:
+    the calls to ``_sym_decorrelate`` after the one on the random start."""
+    calls = []
+    decorrelate = initializer._sym_decorrelate
+
+    def counted(w):
+        calls.append(1)
+        return decorrelate(w)
+
+    monkeypatch.setattr(initializer, "_sym_decorrelate", counted)
+    d, s = ica_decompose(x, k, InitConfig(rng_seed=seed))
+    return d, s, len(calls) - 1
+
+
+@pytest.mark.parametrize("seed, cycle_from", [(7, 42), (3, 71)])
+def test_ica_stops_on_a_two_cycle_where_the_capped_loop_ends(monkeypatch, seed, cycle_from):
+    # At K = 12 these subjects' iterates match the ones two steps back from
+    # iteration 42 (seed 7, which the capped loop takes on to converge at 68)
+    # and 71 (seed 3, which alternates up to the cap). The two parities
+    # exercise both iterates the stop can return.
+    x = acceptance_subject(seed)
+    with pytest.warns(UserWarning, match="ICA did not reach tolerance: .* alternates"):
+        d, s, iterations = counted_ica(monkeypatch, x, 12, seed)
+    assert iterations <= cycle_from + 8
+    d_ref, s_ref, ref_iterations = capped_fixed_point_ica(x.values, 12, seed)
+    assert ref_iterations > iterations
+    assert d.values.shape == d_ref.shape and s.values.shape == s_ref.shape
+    # The maps are whitened, so the mean product of a row with the
+    # reference's row is the cosine between the two unmixing rows; a flipped
+    # sign would read near -1.
+    cosines = np.sum(s.values * s_ref, axis=1) / x.n_voxels
+    assert np.all(cosines >= 1.0 - 1e-5), cosines
+
+
+@pytest.mark.parametrize(
+    "k, seed, ends",
+    [(8, 7, None), (12, 0, "in 400 iterations; returning the last iterate")],
+    ids=["converges", "wanders_to_the_cap"],
+)
+def test_ica_without_a_two_cycle_is_the_capped_loop_bit_for_bit(monkeypatch, k, seed, ends):
+    x = acceptance_subject(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d, s, iterations = counted_ica(monkeypatch, x, k, seed)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == (1 if ends else 0) and all(m.endswith(ends) for m in messages)
+    d_ref, s_ref, ref_iterations = capped_fixed_point_ica(x.values, k, seed)
+    assert iterations == ref_iterations
+    np.testing.assert_array_equal(d.values, d_ref)
+    np.testing.assert_array_equal(s.values, s_ref)
 
 
 # -- alignment -------------------------------------------------------------------

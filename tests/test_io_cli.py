@@ -579,6 +579,32 @@ def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
         assert {key: resolved[key] for key in settings} == settings
 
 
+def test_cli_init_and_fit_read_the_data_once_and_record_its_checksum(
+    tmp_path, monkeypatch, mini_start
+):
+    config, data, _ = mini_start
+    start, fit = tmp_path / "start", tmp_path / "fit"
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        if path.name == "x.iadl":
+            reads.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert main(["init", "--config", str(config), "--data", str(data),
+                 "--out", str(start)]) == 0
+    assert len(reads) == 1
+    assert main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(fit), "--init-dir", str(start)]) == 0
+    assert len(reads) == 2
+    monkeypatch.undo()
+    digest = sha256_file(data / "x.iadl")
+    assert json.loads((start / "manifest.json").read_text())["data_checksum"] == digest
+    assert json.loads((fit / "resolved.json").read_text())["data_checksum"] == digest
+
+
 def _tamper_start(tmp_path, start, data):
     coef = start / "init_coef.iadl"
     raw = bytearray(coef.read_bytes())
