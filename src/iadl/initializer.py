@@ -187,14 +187,9 @@ def order_by_sparsity(d: Dictionary, s: CoefficientMatrix, m: int):
     non-increasing; rows up to ``m`` stay in place, ties keep original
     order."""
     sv = s.values
-    k = d.n_atoms
-    free = np.arange(m, k)
-    if free.size:
-        counts = np.count_nonzero(sv[m:], axis=1)
-        order = np.argsort(counts, kind="stable")  # fewer active = sparser first
-        perm = np.concatenate([np.arange(m), m + order])
-    else:
-        perm = np.arange(k)
+    counts = np.count_nonzero(sv[m:], axis=1)
+    order = np.argsort(counts, kind="stable")  # fewer active = sparser first
+    perm = np.concatenate([np.arange(m), m + order])
     return (
         Dictionary(d.values[:, perm], assisted_count=d.assisted_count),
         CoefficientMatrix(sv[perm]),

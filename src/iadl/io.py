@@ -140,10 +140,6 @@ class DatasetConfig:
     snr_db: float = 0.0
     hrf_spread: float = 0.3
 
-    def __post_init__(self):
-        if self.recipe not in ("mini", "full"):
-            raise ValueError(f"unknown dataset recipe {self.recipe!r}")
-
     @property
     def n_times(self) -> int:
         return synthgen.MINI_N_TIMES if self.recipe == "mini" else synthgen.FULL_N_TIMES
@@ -162,20 +158,15 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     k: int
+    thetas: tuple
     seed: int = 0
     conditions: tuple = ()
-    thetas: tuple | None = None
-    phis: tuple | None = None
     c_delta: float | str = "auto"
     c_d: float = 1.0
     epsilon: float = 1e-6
     solver: SolverConfig = SolverConfig()
     init: InitConfig = InitConfig()
     dataset: DatasetConfig = DatasetConfig()
-
-    def __post_init__(self):
-        if (self.thetas is None) == (self.phis is None):
-            raise ValueError("give exactly one of sparsity.theta or sparsity.phi")
 
     def resolved_conditions(self) -> tuple:
         """Explicit conditions, else those fixed by the dataset recipe."""
@@ -186,30 +177,16 @@ class ExperimentConfig:
 
         A theta vector shorter than k covers the assisted sources only;
         the free entries are filled with a ladder from 99 down to 80 plus
-        a dense tail (70, 10, 0).
+        a dense tail (70, 10, 0); three or fewer free atoms get the tail's
+        last entries.
         """
-        if self.thetas is None:
-            raise ValueError("config specifies budgets directly; no thetas")
-        thetas = list(self.thetas)
-        if len(thetas) == self.k:
-            return np.asarray(thetas, dtype=float)
-        free = self.k - len(thetas)
-        if free < 0:
-            raise ValueError(f"{len(thetas)} sparsity values for k={self.k}")
-        tail = [70.0, 10.0, 0.0]
-        if free >= 4:
-            ladder = list(np.linspace(99.0, 80.0, free - 3)) + tail
-        else:
-            ladder = tail[-free:] if free else []
-        return np.asarray(thetas + ladder, dtype=float)
+        free = self.k - len(self.thetas)
+        ladder = list(np.linspace(99.0, 80.0, max(free - 3, 0)))
+        ladder += [70.0, 10.0, 0.0][max(3 - free, 0):]
+        return np.asarray(list(self.thetas) + ladder, dtype=float)
 
     def resolve_phis(self, n_voxels: int) -> np.ndarray:
         """Per-row budgets against a concrete voxel count."""
-        if self.phis is not None:
-            phis = np.asarray(self.phis, dtype=float)
-            if phis.size != self.k:
-                raise ValueError(f"sparsity.phi needs exactly {self.k} entries")
-            return phis
         return np.array([phi_from_theta(t, n_voxels) for t in self.resolve_thetas()])
 
 
@@ -287,12 +264,20 @@ _non_negative = _real_in(lambda v: v >= 0, "non-negative")
 # +inf simulates noise-free data
 _snr_db = _real_in(lambda v: v != -math.inf, "a real number or +inf")
 _hrf_spread = _real_in(lambda v: 0 <= v < 1, "in [0, 1)")
+_percent = _real_in(lambda v: 0 <= v <= 100, "in [0, 100]")
 
 
-def _reals(path, key, values) -> tuple:
+def _reals(path, key, values, rule=_real) -> tuple:
+    """A YAML list, each entry read by ``rule``."""
     if not isinstance(values, list):
         raise ValueError(f"{path}: config key {key!r} must be a list of numbers")
-    return tuple(_real(path, f"{key}[{i}]", v) for i, v in enumerate(values))
+    return tuple(rule(path, f"{key}[{i}]", v) for i, v in enumerate(values))
+
+
+def _recipe(path, key, value) -> str:
+    if value not in ("mini", "full"):
+        raise ValueError(f"{path}: config key {key!r} must be 'mini' or 'full', got {value!r}")
+    return value
 
 
 def _build_conditions(path, entries):
@@ -302,13 +287,15 @@ def _build_conditions(path, entries):
             raise ValueError(f"{path}: assisted condition {i} needs 'onsets' and 'durations'")
         where = f"assisted[{i}]."
         _refuse_unknown(path, entry, _CONDITION_KEYS, where)
-        conditions.append(
-            ConditionSpec(
-                onsets=_reals(path, f"{where}onsets", entry["onsets"]),
-                durations=_reals(path, f"{where}durations", entry["durations"]),
-                amplitude=_real(path, f"{where}amplitude", entry.get("amplitude", 1.0)),
-            )
-        )
+        onsets = _reals(path, f"{where}onsets", entry["onsets"])
+        durations = _reals(path, f"{where}durations", entry["durations"])
+        amplitude = _real(path, f"{where}amplitude", entry.get("amplitude", 1.0))
+        try:
+            conditions.append(ConditionSpec(onsets, durations, amplitude))
+        except ValueError as err:
+            raise ValueError(
+                f"{path}: config key 'assisted[{i}]' must be a valid condition: {err}"
+            ) from err
     return tuple(conditions)
 
 
@@ -320,10 +307,13 @@ def load_config(path) -> ExperimentConfig:
     _refuse_unknown(path, raw, _TOP_LEVEL_KEYS)
     if "k" not in raw:
         raise ValueError(f"{path}: missing required key 'k'")
+    k = _integer(path, "k", raw["k"], least=1)
 
     sparsity = _section(
-        path, raw, "sparsity", ("theta", "phi"), {"theta": _reals, "phi": _reals}
+        path, raw, "sparsity", ("theta",), {"theta": partial(_reals, rule=_percent)}
     )
+    if "theta" not in sparsity:
+        raise ValueError(f"{path}: missing required key 'sparsity.theta'")
     c_delta = raw.get("c_delta", "auto")
     if c_delta != "auto":
         c_delta = _non_negative(path, "c_delta", c_delta)
@@ -340,29 +330,33 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
     dataset_kwargs = _section(
         path, raw, "dataset", _field_names(DatasetConfig),
-        {"snr_db": _snr_db, "hrf_spread": _hrf_spread},
+        {"recipe": _recipe, "snr_db": _snr_db, "hrf_spread": _hrf_spread},
     )
 
     assisted = raw.get("assisted", [])
     if not isinstance(assisted, list):
         raise ValueError(f"{path}: 'assisted' must be a list of conditions")
 
-    try:
-        return ExperimentConfig(
-            k=_integer(path, "k", raw["k"], least=1),
-            seed=_integer(path, "seed", raw.get("seed", 0), least=0),
-            conditions=_build_conditions(path, assisted),
-            thetas=sparsity.get("theta"),
-            phis=sparsity.get("phi"),
-            c_delta=c_delta,
-            c_d=_positive(path, "c_d", raw.get("c_d", 1.0)),
-            epsilon=_positive(path, "epsilon", raw.get("epsilon", 1e-6)),
-            solver=SolverConfig(**solver_kwargs),
-            init=InitConfig(**init_kwargs),
-            dataset=DatasetConfig(**dataset_kwargs),
+    config = ExperimentConfig(
+        k=k,
+        thetas=sparsity["theta"],
+        seed=_integer(path, "seed", raw.get("seed", 0), least=0),
+        conditions=_build_conditions(path, assisted),
+        c_delta=c_delta,
+        c_d=_positive(path, "c_d", raw.get("c_d", 1.0)),
+        epsilon=_positive(path, "epsilon", raw.get("epsilon", 1e-6)),
+        solver=SolverConfig(**solver_kwargs),
+        init=InitConfig(**init_kwargs),
+        dataset=DatasetConfig(**dataset_kwargs),
+    )
+    # A list shorter than k gives the assisted atoms theirs, one per condition.
+    given, assisted_count = len(config.thetas), len(config.resolved_conditions())
+    if given not in (k, min(assisted_count, k)):
+        raise ValueError(
+            f"{path}: config key 'sparsity.theta' must be k = {k} thetas, or one per "
+            f"assisted condition ({assisted_count}) when fewer, got {given}"
         )
-    except TypeError as err:
-        raise ValueError(f"{path}: {err}") from err
+    return config
 
 
 def save_metrics(reports: dict, path, kinds) -> None:

@@ -351,6 +351,17 @@ def test_order_stable_on_ties(rng):
     np.testing.assert_array_equal(d2.values, d)
 
 
+def test_order_with_every_atom_assisted_is_identity():
+    # At M = K no atom is free: rows out of sparsity order stay where they are.
+    d, s = ordering_fixture()
+    swapped = s.values[[0, 2, 1]]
+    d_in = Dictionary(d.values, assisted_count=3)
+    d2, s2 = order_by_sparsity(d_in, CoefficientMatrix(swapped), 3)
+    np.testing.assert_array_equal(s2.values, swapped)
+    np.testing.assert_array_equal(d2.values, d.values)
+    assert d2.assisted_count == 3
+
+
 # -- full pipeline ----------------------------------------------------------------
 
 

@@ -241,25 +241,80 @@ def test_config_loads_and_expands_theta_ladder(mini_config_path):
     np.testing.assert_allclose(phis[:2], [80.0, 96.0])
 
 
-def test_config_rejects_theta_and_phi_together(tmp_path):
-    path = tmp_path / "bad.yaml"
-    path.write_text("k: 3\nsparsity:\n  theta: [95]\n  phi: [10, 10, 10]\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resolve_thetas_keeps_the_prefix_and_fills_a_falling_ladder(data):
+    k = data.draw(st.integers(1, 64))
+    prefix = tuple(data.draw(st.lists(st.floats(0.0, 100.0), max_size=k)))
+    thetas = ExperimentConfig(k=k, thetas=prefix).resolve_thetas()
+    assert thetas.shape == (k,)
+    assert tuple(thetas[: len(prefix)]) == prefix
+    free = thetas[len(prefix):]
+    assert np.all(np.diff(free) <= 0)
+    assert np.all((free >= 0) & (free <= 100))
+    # the last free atom is the fully dense one
+    assert free.size == 0 or free[-1] == 0.0
 
 
-def test_config_requires_some_sparsity(tmp_path):
+@pytest.mark.parametrize(
+    "k, prefix, expected",
+    [
+        (8, (95.0, 94.0), [95.0, 94.0, 99.0, 89.5, 80.0, 70.0, 10.0, 0.0]),
+        (12, (95.0, 94.0),
+         [95.0, 94.0, 99.0, 95.83333333333333, 92.66666666666667, 89.5, 86.33333333333333,
+          83.16666666666667, 80.0, 70.0, 10.0, 0.0]),
+        (20, (95.28, 91.60, 94.57),
+         [95.28, 91.6, 94.57, 99.0, 97.53846153846153, 96.07692307692308, 94.61538461538461,
+          93.15384615384616, 91.6923076923077, 90.23076923076923, 88.76923076923077,
+          87.3076923076923, 85.84615384615384, 84.38461538461539, 82.92307692307692,
+          81.46153846153847, 80.0, 70.0, 10.0, 0.0]),
+    ],
+    ids=["mini_k8", "mini_k12", "full_k20"],
+)
+def test_resolve_thetas_of_the_benchmark_shapes(k, prefix, expected):
+    # the budgets the benchmark's fits run under, bit for bit
+    assert ExperimentConfig(k=k, thetas=prefix).resolve_thetas().tolist() == expected
+
+
+_BUDGET = "k: 2\nsparsity:\n  theta: [95, 90]\n"
+
+
+def _assert_commands_refuse(path, key, capsys):
+    """tune-cdelta and simulate refuse the config at ``path`` with one line
+    naming the file and ``key``; simulate writes nothing first."""
+    data = path.parent / "data"
+    for argv in (["tune-cdelta", "--config", path], ["simulate", "--config", path, "--out", data]):
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(path) in err and key in err
+    assert not data.exists()
+
+
+def test_config_requires_some_sparsity(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("k: 3\n")
-    with pytest.raises(ValueError):
+    message = f"{path}: missing required key 'sparsity.theta'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
+    _assert_commands_refuse(path, "'sparsity.theta'", capsys)
 
 
-def test_config_rejects_unknown_recipe(tmp_path):
+def test_config_rejects_unknown_recipe(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("k: 3\nsparsity:\n  theta: [95, 95, 95]\ndataset:\n  recipe: huge\n")
-    with pytest.raises(ValueError):
+    message = f"{path}: config key 'dataset.recipe' must be 'mini' or 'full'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
+    _assert_commands_refuse(path, "'dataset.recipe'", capsys)
+
+
+def test_config_short_theta_list_counts_the_assisted_conditions(tmp_path):
+    # one explicit condition replaces the recipe's two, so one theta covers it
+    path = tmp_path / "c.yaml"
+    path.write_text("k: 8\nassisted:\n  - onsets: [10]\n    durations: [6]\n"
+                    "sparsity:\n  theta: [95]\n")
+    assert load_config(path).resolve_thetas().tolist()[:2] == [95.0, 99.0]
 
 
 def test_config_rejects_removed_solver_key(tmp_path):
@@ -269,31 +324,22 @@ def test_config_rejects_removed_solver_key(tmp_path):
         load_config(path)
 
 
-def test_config_phi_path(tmp_path):
-    path = tmp_path / "c.yaml"
-    path.write_text("k: 2\nsparsity:\n  phi: [12, 30]\n")
-    config = load_config(path)
-    np.testing.assert_allclose(config.resolve_phis(100), [12.0, 30.0])
-
-
-_PHI_CONFIG = "k: 2\nsparsity:\n  phi: [12, 30]\n"
-
-
 @pytest.mark.parametrize(
     "text, key",
     [
-        (_PHI_CONFIG + "epsilom: 1.0e-3\n", "'epsilom'"),
-        (_PHI_CONFIG + "solvr:\n  max_iters: 3\n", "'solvr'"),
-        (_PHI_CONFIG + "alternate_hrf:\n  spread: 0.3\n  seed: 123\n", "'alternate_hrf'"),
-        ("k: 2\nsparsity:\n  phi: [12, 30]\n  thetas: [95]\n", "'sparsity.thetas'"),
-        (_PHI_CONFIG + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitud: 2\n",
+        (_BUDGET + "epsilom: 1.0e-3\n", "'epsilom'"),
+        (_BUDGET + "solvr:\n  max_iters: 3\n", "'solvr'"),
+        (_BUDGET + "alternate_hrf:\n  spread: 0.3\n  seed: 123\n", "'alternate_hrf'"),
+        ("k: 2\nsparsity:\n  theta: [95, 90]\n  thetas: [95]\n", "'sparsity.thetas'"),
+        ("k: 2\nsparsity:\n  phi: [12, 30]\n", "'sparsity.phi'"),
+        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitud: 2\n",
          "'assisted[0].amplitud'"),
-        (_PHI_CONFIG + "solver:\n  maxiters: 3\n", "'solver.maxiters'"),
-        (_PHI_CONFIG + "init:\n  merge_corr_threshold: 0.95\n", "'init.merge_corr_threshold'"),
-        (_PHI_CONFIG + "dataset:\n  snr: 3.0\n", "'dataset.snr'"),
+        (_BUDGET + "solver:\n  maxiters: 3\n", "'solver.maxiters'"),
+        (_BUDGET + "init:\n  merge_corr_threshold: 0.95\n", "'init.merge_corr_threshold'"),
+        (_BUDGET + "dataset:\n  snr: 3.0\n", "'dataset.snr'"),
     ],
-    ids=["top_level", "section_name", "alternate_hrf", "sparsity", "assisted", "solver",
-         "init", "dataset"],
+    ids=["top_level", "section_name", "alternate_hrf", "sparsity", "sparsity_phi", "assisted",
+         "solver", "init", "dataset"],
 )
 def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     # a misspelt key would otherwise leave its setting at the default
@@ -301,47 +347,51 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key {key}")):
         load_config(path)
-    assert main(["tune-cdelta", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(path) in err and key in err
+    _assert_commands_refuse(path, key, capsys)
 
 
 @pytest.mark.parametrize(
     "text, key",
     [
-        ("k: 2.7\nsparsity:\n  phi: [12, 30]\n", "'k'"),
-        ("k: true\nsparsity:\n  phi: [12]\n", "'k'"),
-        (_PHI_CONFIG + "seed: 1.9\n", "'seed'"),
-        (_PHI_CONFIG + "solver:\n  max_iters: 2.5\n", "'solver.max_iters'"),
-        (_PHI_CONFIG + "solver:\n  max_iters: true\n", "'solver.max_iters'"),
-        (_PHI_CONFIG + "init:\n  refine_iters: 1.0\n", "'init.refine_iters'"),
-        (_PHI_CONFIG + "solver:\n  rel_obj_tol: tiny\n", "'solver.rel_obj_tol'"),
-        (_PHI_CONFIG + "dataset:\n  snr_db: loud\n", "'dataset.snr_db'"),
-        (_PHI_CONFIG + "c_delta: wide\n", "'c_delta'"),
-        (_PHI_CONFIG + "c_d: yes\n", "'c_d'"),
-        (_PHI_CONFIG + "epsilon: .nan\n", "'epsilon'"),
-        ("k: 2\nsparsity:\n  phi: [12, many]\n", "'sparsity.phi[1]'"),
-        (_PHI_CONFIG + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: [2]\n",
+        ("k: 2.7\nsparsity:\n  theta: [95, 90]\n", "'k'"),
+        ("k: true\nsparsity:\n  theta: [95]\n", "'k'"),
+        (_BUDGET + "seed: 1.9\n", "'seed'"),
+        (_BUDGET + "solver:\n  max_iters: 2.5\n", "'solver.max_iters'"),
+        (_BUDGET + "solver:\n  max_iters: true\n", "'solver.max_iters'"),
+        (_BUDGET + "init:\n  refine_iters: 1.0\n", "'init.refine_iters'"),
+        (_BUDGET + "solver:\n  rel_obj_tol: tiny\n", "'solver.rel_obj_tol'"),
+        (_BUDGET + "dataset:\n  snr_db: loud\n", "'dataset.snr_db'"),
+        (_BUDGET + "c_delta: wide\n", "'c_delta'"),
+        (_BUDGET + "c_d: yes\n", "'c_d'"),
+        (_BUDGET + "epsilon: .nan\n", "'epsilon'"),
+        ("k: 2\nsparsity:\n  theta: [95, many]\n", "'sparsity.theta[1]'"),
+        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: [2]\n",
          "'assisted[0].amplitude'"),
-        ("k: 0\nsparsity:\n  phi: [12]\n", "'k'"),
-        (_PHI_CONFIG + "seed: -1\n", "'seed'"),
-        (_PHI_CONFIG + "dataset:\n  snr_db: -.inf\n", "'dataset.snr_db'"),
-        (_PHI_CONFIG + "solver:\n  max_iters: 0\n", "'solver.max_iters'"),
-        (_PHI_CONFIG + "solver:\n  rel_obj_tol: -1.0e-8\n", "'solver.rel_obj_tol'"),
-        (_PHI_CONFIG + "init:\n  refine_iters: -1\n", "'init.refine_iters'"),
-        (_PHI_CONFIG + "dataset:\n  hrf_spread: 1.5\n", "'dataset.hrf_spread'"),
-        (_PHI_CONFIG + "dataset:\n  hrf_spread: -0.1\n", "'dataset.hrf_spread'"),
-        (_PHI_CONFIG + "c_d: -1\n", "'c_d'"),
-        (_PHI_CONFIG + "epsilon: 0\n", "'epsilon'"),
-        (_PHI_CONFIG + "c_delta: -1\n", "'c_delta'"),
+        ("k: 0\nsparsity:\n  theta: [95]\n", "'k'"),
+        (_BUDGET + "seed: -1\n", "'seed'"),
+        (_BUDGET + "dataset:\n  snr_db: -.inf\n", "'dataset.snr_db'"),
+        (_BUDGET + "solver:\n  max_iters: 0\n", "'solver.max_iters'"),
+        (_BUDGET + "solver:\n  rel_obj_tol: -1.0e-8\n", "'solver.rel_obj_tol'"),
+        (_BUDGET + "init:\n  refine_iters: -1\n", "'init.refine_iters'"),
+        (_BUDGET + "dataset:\n  hrf_spread: 1.5\n", "'dataset.hrf_spread'"),
+        (_BUDGET + "dataset:\n  hrf_spread: -0.1\n", "'dataset.hrf_spread'"),
+        (_BUDGET + "c_d: -1\n", "'c_d'"),
+        (_BUDGET + "epsilon: 0\n", "'epsilon'"),
+        (_BUDGET + "c_delta: -1\n", "'c_delta'"),
+        (_BUDGET + "assisted:\n  - onsets: [-10]\n    durations: [6]\n", "'assisted[0]'"),
+        (_BUDGET + "assisted:\n  - onsets: [10, 60]\n    durations: [6]\n", "'assisted[0]'"),
+        ("k: 2\nsparsity:\n  theta: [150, 95]\n", "'sparsity.theta[0]'"),
+        ("k: 2\nsparsity:\n  theta: [95, .inf]\n", "'sparsity.theta[1]'"),
+        ("k: 2\nsparsity:\n  theta: [95, 94, 93]\n", "'sparsity.theta'"),
+        ("k: 8\nsparsity:\n  theta: [95]\n", "'sparsity.theta'"),
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
          "phi_entry", "amplitude", "k_zero", "seed_negative", "snr_db_minus_inf",
          "max_iters_zero", "rel_obj_tol_negative", "refine_iters_negative",
          "hrf_spread_one_and_a_half", "hrf_spread_negative", "c_d_negative", "epsilon_zero",
-         "c_delta_negative"],
+         "c_delta_negative", "onset_negative", "durations_count", "theta_out_of_range",
+         "theta_inf", "theta_too_many", "theta_short_list_wrong_length"],
 )
 def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     # a float count would be truncated and a boolean read as 0 or 1; a
@@ -351,10 +401,7 @@ def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: config key {key} must be")):
         load_config(path)
-    assert main(["tune-cdelta", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(path) in err and key in err
+    _assert_commands_refuse(path, key, capsys)
 
 
 def test_cli_refuses_negative_seed_flag(mini_config_path, tmp_path, capsys):
@@ -371,7 +418,7 @@ def test_config_reads_exponents_without_a_dot(tmp_path):
     # PyYAML reads 1e-8 as a string; every real-valued key takes it
     path = tmp_path / "c.yaml"
     path.write_text(
-        "k: 2\nsparsity:\n  theta: [9.5e1]\nc_delta: 1e-1\nc_d: 2e0\nepsilon: 1e-6\n"
+        "k: 1\nsparsity:\n  theta: [9.5e1]\nc_delta: 1e-1\nc_d: 2e0\nepsilon: 1e-6\n"
         "dataset:\n  snr_db: 1e1\n  hrf_spread: 3e-1\nsolver:\n  rel_obj_tol: 1e-8\n"
     )
     config = load_config(path)
@@ -437,7 +484,7 @@ def test_cli_rejects_config_init_seed(tmp_path, capsys):
     # the start is seeded by the top-level seed; a seed under init would be
     # silently overwritten, so the config is refused
     config = tmp_path / "c.yaml"
-    config.write_text("k: 2\nsparsity:\n  phi: [12, 30]\ninit:\n  rng_seed: 12345\n")
+    config.write_text("k: 2\nsparsity:\n  theta: [95, 90]\ninit:\n  rng_seed: 12345\n")
     code = main(["init", "--config", str(config), "--data", str(tmp_path),
                  "--out", str(tmp_path / "init")])
     assert code == 1
@@ -455,7 +502,10 @@ def test_cli_rejects_theta_outside_percent_range(tmp_path, rng, capsys):
     code = main(["fit", "--config", str(config), "--data", str(data),
                  "--out", str(tmp_path / "fit"), "--blind"])
     assert code == 1
-    assert "sparsity percentage 140" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(config) in err and "'sparsity.theta[0]'" in err and "140" in err
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize(
@@ -474,7 +524,7 @@ def test_cli_fit_names_corrupt_data_file(tmp_path, rng, capsys, corrupt):
     save_matrix(rng.standard_normal((20, 30)), x_path)
     x_path.write_bytes(corrupt(x_path.read_bytes()))
     config = tmp_path / "c.yaml"
-    config.write_text("k: 2\nsparsity:\n  phi: [5, 8]\n")
+    config.write_text("k: 2\nsparsity:\n  theta: [80, 70]\n")
     code = main(["fit", "--config", str(config), "--data", str(data),
                  "--out", str(tmp_path / "fit"), "--blind"])
     assert code == 1
