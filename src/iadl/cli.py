@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .hrf import (
     sample_hrf,
     task_time_course,
 )
-from .initializer import InitConfig, initialize
+from .initializer import initialize
 from .solver import run_iadl
 from .types import (
     CoefficientMatrix,
@@ -38,14 +39,11 @@ from .types import (
 
 
 def _load_config(args) -> iadl_io.ExperimentConfig:
-    """The config with the --seed override applied; the seed also seeds the
-    initializer."""
+    """The config with the --seed override applied."""
     config = iadl_io.load_config(args.config)
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    seed = config.seed if args.seed is None else args.seed
-    init = InitConfig(**{**config.init.__dict__, "rng_seed": seed})
-    return iadl_io.ExperimentConfig(**{**config.__dict__, "seed": seed, "init": init})
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _task_courses_canonical(config) -> np.ndarray:

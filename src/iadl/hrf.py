@@ -10,7 +10,7 @@ value is configurable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import gamma as gamma_dist
@@ -100,13 +100,11 @@ def sample_hrf(rng: np.random.Generator, spread: float = 0.3) -> TwoGammaParams:
     if not 0.0 <= spread < 1.0:
         raise ValueError("spread must lie in [0, 1)")
     base = canonical_params()
-    fields = ("peak_delay", "undershoot_delay", "peak_dispersion",
-              "undershoot_dispersion", "undershoot_ratio", "onset", "kernel_length")
     for _ in range(1000):
         drawn = {}
-        for name in fields:
-            center = getattr(base, name)
-            drawn[name] = rng.uniform((1 - spread) * center, (1 + spread) * center)
+        for field in fields(TwoGammaParams):
+            center = getattr(base, field.name)
+            drawn[field.name] = rng.uniform((1 - spread) * center, (1 + spread) * center)
         if drawn["peak_delay"] < drawn["undershoot_delay"]:
             return TwoGammaParams(**drawn)
     raise RuntimeError("could not draw a valid parameter set; spread too large")
@@ -118,7 +116,6 @@ class ConditionSpec:
 
     onsets: tuple
     durations: tuple
-    amplitude: float = 1.0
 
     def __post_init__(self):
         onsets = tuple(float(o) for o in self.onsets)
@@ -137,9 +134,9 @@ def build_regressor(cond: ConditionSpec, n_times: int, tr: float) -> np.ndarray:
     """Boxcar sampled at acquisition times.
 
     A sample at time k*tr is active when it falls inside [onset,
-    onset+duration) of any block; overlapping blocks clip to the amplitude
-    rather than accumulating. Blocks starting at or beyond the scan end are
-    ignored with a warning.
+    onset+duration) of any block, and is then 1; overlapping blocks do not
+    accumulate. Blocks starting at or beyond the scan end are ignored with a
+    warning.
     """
     if n_times < 1 or tr <= 0:
         raise ValueError("need at least one sample and a positive tr")
@@ -155,7 +152,7 @@ def build_regressor(cond: ConditionSpec, n_times: int, tr: float) -> np.ndarray:
             )
             continue
         mask = (t >= onset - 1e-9) & (t < onset + duration - 1e-9)
-        u[mask] = cond.amplitude
+        u[mask] = 1.0
     return u
 
 

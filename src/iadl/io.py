@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -168,6 +168,10 @@ class ExperimentConfig:
     init: InitConfig = InitConfig()
     dataset: DatasetConfig = DatasetConfig()
 
+    def __post_init__(self):
+        # the one seed: it also seeds the initializer's ICA start
+        object.__setattr__(self, "init", replace(self.init, rng_seed=self.seed))
+
     def resolved_conditions(self) -> tuple:
         """Explicit conditions, else those fixed by the dataset recipe."""
         return self.conditions if self.conditions else self.dataset.conditions
@@ -190,37 +194,12 @@ class ExperimentConfig:
         return np.array([phi_from_theta(t, n_voxels) for t in self.resolve_thetas()])
 
 
-_TOP_LEVEL_KEYS = (
-    "seed", "k", "assisted", "sparsity", "c_delta", "c_d", "epsilon", "dataset", "solver", "init",
-)
-_CONDITION_KEYS = ("onsets", "durations", "amplitude")
-
-
 def _refuse_unknown(path, mapping, known, where=""):
     """A key the schema does not know would leave its setting at the
     default without a word, so it is refused."""
     for key in mapping:
         if key not in known:
             raise ValueError(f"{path}: unknown config key '{where}{key}'")
-
-
-def _section(path, raw, key, known, rules):
-    """The section's mapping, each value whose key has a rule in ``rules``
-    read by that rule."""
-    value = raw.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: config section {key!r} must be a mapping")
-    _refuse_unknown(path, value, known, f"{key}.")
-    return {
-        name: rules[name](path, f"{key}.{name}", v) if name in rules else v
-        for name, v in value.items()
-    }
-
-
-def _field_names(cls):
-    return [f.name for f in fields(cls)]
 
 
 def _integer(path, key, value, least=None) -> int:
@@ -280,23 +259,66 @@ def _recipe(path, key, value) -> str:
     return value
 
 
-def _build_conditions(path, entries):
+def _c_delta(path, key, value):
+    return value if value == "auto" else _non_negative(path, key, value)
+
+
+def _conditions(path, key, entries) -> tuple:
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: '{key}' must be a list of conditions")
     conditions = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "onsets" not in entry or "durations" not in entry:
             raise ValueError(f"{path}: assisted condition {i} needs 'onsets' and 'durations'")
-        where = f"assisted[{i}]."
-        _refuse_unknown(path, entry, _CONDITION_KEYS, where)
-        onsets = _reals(path, f"{where}onsets", entry["onsets"])
-        durations = _reals(path, f"{where}durations", entry["durations"])
-        amplitude = _real(path, f"{where}amplitude", entry.get("amplitude", 1.0))
+        where = f"{key}[{i}]"
+        _refuse_unknown(path, entry, ("onsets", "durations"), f"{where}.")
+        onsets = _reals(path, f"{where}.onsets", entry["onsets"])
+        durations = _reals(path, f"{where}.durations", entry["durations"])
         try:
-            conditions.append(ConditionSpec(onsets, durations, amplitude))
+            conditions.append(ConditionSpec(onsets, durations))
         except ValueError as err:
             raise ValueError(
-                f"{path}: config key 'assisted[{i}]' must be a valid condition: {err}"
+                f"{path}: config key '{where}' must be a valid condition: {err}"
             ) from err
     return tuple(conditions)
+
+
+# Every key a config file may set, by its dotted name, and the rule that
+# reads it. A section's keys fill the fields of the section's dataclass, and
+# a key the file leaves out keeps its field's default.
+_SCHEMA = {
+    "seed": partial(_integer, least=0),
+    "k": partial(_integer, least=1),
+    "assisted": _conditions,
+    "sparsity.theta": partial(_reals, rule=_percent),
+    "c_delta": _c_delta,
+    "c_d": _positive,
+    "epsilon": _positive,
+    "dataset.recipe": _recipe,
+    "dataset.snr_db": _snr_db,
+    "dataset.hrf_spread": _hrf_spread,
+    "solver.max_iters": partial(_integer, least=1),
+    "solver.rel_obj_tol": _non_negative,
+    "init.refine_iters": partial(_integer, least=0),
+}
+# The ExperimentConfig fields of the keys not named after theirs.
+_FIELDS = {"assisted": "conditions", "sparsity.theta": "thetas"}
+_SECTIONS = {"dataset": DatasetConfig, "solver": SolverConfig, "init": InitConfig}
+
+
+def _dotted(path, raw) -> dict:
+    """The document's settings by dotted key, each section flattened into
+    its keys; an empty section sets none."""
+    _refuse_unknown(path, raw, {key.partition(".")[0] for key in _SCHEMA})
+    flat = {}
+    for key, value in raw.items():
+        if key in _SCHEMA:
+            flat[key] = value
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: config section {key!r} must be a mapping")
+            flat.update((f"{key}.{name}", v) for name, v in value.items())
+    return flat
 
 
 def load_config(path) -> ExperimentConfig:
@@ -304,53 +326,22 @@ def load_config(path) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a mapping")
-    _refuse_unknown(path, raw, _TOP_LEVEL_KEYS)
-    if "k" not in raw:
-        raise ValueError(f"{path}: missing required key 'k'")
-    k = _integer(path, "k", raw["k"], least=1)
-
-    sparsity = _section(
-        path, raw, "sparsity", ("theta",), {"theta": partial(_reals, rule=_percent)}
-    )
-    if "theta" not in sparsity:
-        raise ValueError(f"{path}: missing required key 'sparsity.theta'")
-    c_delta = raw.get("c_delta", "auto")
-    if c_delta != "auto":
-        c_delta = _non_negative(path, "c_delta", c_delta)
-
-    solver_kwargs = _section(
-        path, raw, "solver", _field_names(SolverConfig),
-        {"max_iters": partial(_integer, least=1), "rel_obj_tol": _non_negative},
-    )
-    init_kwargs = _section(
-        path, raw, "init", _field_names(InitConfig),
-        {"refine_iters": partial(_integer, least=0)},
-    )
-    if "rng_seed" in init_kwargs:
+    settings = _dotted(path, raw)
+    if "init.rng_seed" in settings:
         raise ValueError(f"{path}: init.rng_seed is not read; set the top-level 'seed' instead")
-    dataset_kwargs = _section(
-        path, raw, "dataset", _field_names(DatasetConfig),
-        {"recipe": _recipe, "snr_db": _snr_db, "hrf_spread": _hrf_spread},
-    )
-
-    assisted = raw.get("assisted", [])
-    if not isinstance(assisted, list):
-        raise ValueError(f"{path}: 'assisted' must be a list of conditions")
-
+    _refuse_unknown(path, settings, _SCHEMA)
+    for key in ("k", "sparsity.theta"):
+        if key not in settings:
+            raise ValueError(f"{path}: missing required key {key!r}")
+    top, nested = {}, {name: {} for name in _SECTIONS}
+    for key, value in settings.items():
+        section, _, name = _FIELDS.get(key, key).rpartition(".")
+        (nested[section] if section else top)[name] = _SCHEMA[key](path, key, value)
     config = ExperimentConfig(
-        k=k,
-        thetas=sparsity["theta"],
-        seed=_integer(path, "seed", raw.get("seed", 0), least=0),
-        conditions=_build_conditions(path, assisted),
-        c_delta=c_delta,
-        c_d=_positive(path, "c_d", raw.get("c_d", 1.0)),
-        epsilon=_positive(path, "epsilon", raw.get("epsilon", 1e-6)),
-        solver=SolverConfig(**solver_kwargs),
-        init=InitConfig(**init_kwargs),
-        dataset=DatasetConfig(**dataset_kwargs),
+        **top, **{name: cls(**nested[name]) for name, cls in _SECTIONS.items()}
     )
     # A list shorter than k gives the assisted atoms theirs, one per condition.
-    given, assisted_count = len(config.thetas), len(config.resolved_conditions())
+    k, given, assisted_count = config.k, len(config.thetas), len(config.resolved_conditions())
     if given not in (k, min(assisted_count, k)):
         raise ValueError(
             f"{path}: config key 'sparsity.theta' must be k = {k} thetas, or one per "

@@ -170,12 +170,13 @@ def _add_rician_noise(clean, target_power, rng):
     origin. Each evaluation is one pass over two preallocated work arrays,
     and the last one is the returned X, so the realized power is measured on
     exactly the data returned and meets the target to rounding. A zero
-    target (an all-zero clean signal) gives sigma = 0 and X = clean.
+    target (+inf dB, or an all-zero clean signal) gives sigma = 0 and
+    X = clean, and draws nothing.
     """
-    g1 = rng.standard_normal(clean.shape)
-    g2 = rng.standard_normal(clean.shape)
     if target_power == 0.0:
         return clean.copy(), 0.0
+    g1 = rng.standard_normal(clean.shape)
+    g2 = rng.standard_normal(clean.shape)
     baseline = -float(clean.min()) + 6.0 * np.sqrt(target_power)
     lifted = clean + baseline
     x = np.empty_like(clean)
@@ -254,13 +255,8 @@ def assemble_dataset(
         kinds.append(spec.kind)
 
     clean = courses @ maps
-    if np.isinf(snr_db):
-        x = clean.copy()
-        sigma = 0.0
-    else:
-        signal_power = float(np.mean(clean**2))
-        target_power = signal_power * 10.0 ** (-snr_db / 10.0)
-        x, sigma = _add_rician_noise(clean, target_power, rng)
+    target_power = float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0)
+    x, sigma = _add_rician_noise(clean, target_power, rng)
 
     truth = SourceSet(time_courses=courses, spatial_maps=maps, kinds=tuple(kinds))
     assisted = tuple(j for j, spec in enumerate(specs) if spec.kind == TASK)

@@ -79,9 +79,9 @@ def test_sample_hrf_seeded_reproducible():
 
 
 def test_regressor_single_block():
-    cond = ConditionSpec(onsets=(0.0,), durations=(6.0,), amplitude=2.0)
+    cond = ConditionSpec(onsets=(0.0,), durations=(6.0,))
     u = build_regressor(cond, 10, 2.0)
-    np.testing.assert_array_equal(u, [2, 2, 2, 0, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(u, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_regressor_empty_condition():

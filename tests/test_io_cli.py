@@ -2,7 +2,7 @@ import json
 import re
 import shutil
 import struct
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iadl.cli import main
-from iadl.initializer import InitConfig
+from iadl.hrf import estimate_c_delta
+from iadl.initializer import initialize
 from iadl.io import (
-    _TOP_LEVEL_KEYS,
-    DatasetConfig,
+    _SCHEMA,
     ExperimentConfig,
     MatrixFileError,
     load_config,
@@ -26,7 +26,7 @@ from iadl.io import (
     verify_manifest,
     write_manifest,
 )
-from iadl.solver import SolverConfig
+from iadl.types import ConstraintSpec, DataMatrix, TaskTimeCourses
 
 MINI_CONFIG = """
 seed: 7
@@ -241,6 +241,13 @@ def test_config_loads_and_expands_theta_ladder(mini_config_path):
     np.testing.assert_allclose(phis[:2], [80.0, 96.0])
 
 
+def test_config_seed_seeds_the_initializer(mini_config_path):
+    # one seed: the initializer reads the top-level one, also once replaced
+    config = load_config(mini_config_path)
+    assert config.seed == 7 and config.init.rng_seed == 7
+    assert replace(config, seed=3).init.rng_seed == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_resolve_thetas_keeps_the_prefix_and_fills_a_falling_ladder(data):
@@ -334,12 +341,14 @@ def test_config_rejects_removed_solver_key(tmp_path):
         ("k: 2\nsparsity:\n  phi: [12, 30]\n", "'sparsity.phi'"),
         (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitud: 2\n",
          "'assisted[0].amplitud'"),
+        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: 1.0\n",
+         "'assisted[0].amplitude'"),
         (_BUDGET + "solver:\n  maxiters: 3\n", "'solver.maxiters'"),
         (_BUDGET + "init:\n  merge_corr_threshold: 0.95\n", "'init.merge_corr_threshold'"),
         (_BUDGET + "dataset:\n  snr: 3.0\n", "'dataset.snr'"),
     ],
     ids=["top_level", "section_name", "alternate_hrf", "sparsity", "sparsity_phi", "assisted",
-         "solver", "init", "dataset"],
+         "amplitude", "solver", "init", "dataset"],
 )
 def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     # a misspelt key would otherwise leave its setting at the default
@@ -365,8 +374,6 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         (_BUDGET + "c_d: yes\n", "'c_d'"),
         (_BUDGET + "epsilon: .nan\n", "'epsilon'"),
         ("k: 2\nsparsity:\n  theta: [95, many]\n", "'sparsity.theta[1]'"),
-        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: [2]\n",
-         "'assisted[0].amplitude'"),
         ("k: 0\nsparsity:\n  theta: [95]\n", "'k'"),
         (_BUDGET + "seed: -1\n", "'seed'"),
         (_BUDGET + "dataset:\n  snr_db: -.inf\n", "'dataset.snr_db'"),
@@ -387,7 +394,7 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
-         "phi_entry", "amplitude", "k_zero", "seed_negative", "snr_db_minus_inf",
+         "phi_entry", "k_zero", "seed_negative", "snr_db_minus_inf",
          "max_iters_zero", "rel_obj_tol_negative", "refine_iters_negative",
          "hrf_spread_one_and_a_half", "hrf_spread_negative", "c_d_negative", "epsilon_zero",
          "c_delta_negative", "onset_negative", "durations_count", "theta_out_of_range",
@@ -438,11 +445,10 @@ def test_readme_config_schema_loads(tmp_path):
     path.write_text(block)
     config = load_config(path)
     assert config.k == 8 and config.conditions and config.thetas == (95, 94)
-    documented = yaml.safe_load(block)
-    assert set(documented) == set(_TOP_LEVEL_KEYS)
-    for section, cls in (("solver", SolverConfig), ("init", InitConfig),
-                         ("dataset", DatasetConfig)):
-        assert set(documented[section]) == {f.name for f in fields(cls)} - {"rng_seed"}
+    documented = set()
+    for key, value in yaml.safe_load(block).items():
+        documented |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
+    assert documented == set(_SCHEMA)
 
 
 def test_readme_library_block_runs(capsys):
@@ -627,6 +633,25 @@ def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
     for out in (plain, resumed):
         resolved = json.loads((out / "resolved.json").read_text())
         assert {key: resolved[key] for key in settings} == settings
+
+
+def test_library_start_from_the_config_matches_cli_init(mini_start):
+    # a library caller handing config.init to initialize gets the start
+    # `iadl init` saves from the same config, bit for bit
+    config_path, data, start = mini_start
+    config = load_config(config_path)
+    ds = config.dataset
+    x = DataMatrix(load_matrix(data / "x.iadl"), tr=ds.tr)
+    delta = TaskTimeCourses(load_matrix(data / "task_courses.iadl"))
+    spec = ConstraintSpec(
+        phi=config.resolve_phis(x.n_voxels),
+        c_delta=estimate_c_delta(config.resolved_conditions(), ds.n_times, ds.tr),
+        c_d=config.c_d,
+        epsilon=config.epsilon,
+    )
+    d0, s0 = initialize(x, config.k, delta, spec, config.init)
+    assert d0.values.tobytes() == load_matrix(start / "init_dict.iadl").tobytes()
+    assert s0.values.tobytes() == load_matrix(start / "init_coef.iadl").tobytes()
 
 
 def test_cli_init_and_fit_read_the_data_once_and_record_its_checksum(
