@@ -33,6 +33,8 @@ from . import synthgen
 MAGIC = b"IADL"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
+# sha256_file hashes a file in reads of this size, not all at once.
+_HASH_CHUNK = 1 << 20
 
 
 class MatrixFileError(ValueError):
@@ -42,13 +44,14 @@ class MatrixFileError(ValueError):
 def save_matrix(values, path) -> None:
     """Write a matrix in the binary container."""
     path = Path(path)
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = np.ascontiguousarray(values, dtype="<f8")
     if arr.ndim != 2:
         raise MatrixFileError(f"expected a matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError("refusing to write non-finite values")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1])
-    path.write_bytes(header + arr.tobytes(order="C"))
+    with path.open("wb") as handle:
+        handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, arr.shape[0], arr.shape[1]))
+        handle.write(arr)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -85,8 +88,11 @@ def _parse_matrix(raw: bytes, path) -> np.ndarray:
 
 
 def sha256_file(path) -> str:
+    """The file's SHA-256, read ``_HASH_CHUNK`` bytes at a time."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with Path(path).open("rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

@@ -197,7 +197,10 @@ def run_iadl(
     ||X||^2 - 2<D, X S^T> + <D^T D, S S^T> from the dictionary step's
     products, with ||X||^2 taken once per solve, and directly as
     ||X - DS||^2 when it falls below a small share of the magnitudes of
-    those terms, where the expansion cancels.
+    those terms, where the expansion cancels. The start's objective, which
+    only the first iteration's tolerance test reads, comes the same way from
+    X S_0^T and S_0 S_0^T, so a solve forms no T x N array unless the
+    expansion cancels.
     """
     _check_shapes(x, d0, s0, spec, delta)
     xv = x.values
@@ -210,7 +213,7 @@ def run_iadl(
     violations = []
     momentum = []
     x_sq = float(np.vdot(xv, xv))
-    prev_obj = float(np.linalg.norm(xv - dv @ sv) ** 2)
+    prev_obj = _loss(xv, x_sq, dv, sv, xv @ sv.T, sv @ sv.T)
     s_prev, t = sv, 1.0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):

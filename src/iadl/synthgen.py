@@ -6,7 +6,9 @@ The scale of the injected noise is calibrated on the realized magnitude
 perturbation: sigma is found by secant steps so that mean((X - Y)^2) on the
 returned X meets the power implied by the requested SNR to rounding. That
 convention is a documented choice; pass ``snr_db=inf`` for a noise-free
-dataset.
+dataset. The calibration holds four T x N arrays, the clean mixture, the
+two normal draws and one work array, and forms the noisy data in blocks of
+``_NOISE_BLOCK`` elements; its last pass writes X over the first draw.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ _EVENT_RATE = 0.04
 # SNR.
 _SIGMA_STEP_RTOL = 1e-9
 _MAX_POWER_EVALS = 30
+
+# The calibration forms the lifted signal and X this many elements at a
+# time (two 128 KiB buffers), so it holds no full-size array besides the
+# draws and one work array.
+_NOISE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -167,41 +174,64 @@ def _add_rician_noise(clean, target_power, rng):
     sqrt(mean((X - clean)^2)), which is close to linear in sigma: the
     perturbation is sigma * g1 to first order, so the search starts at
     sqrt(target_power / mean(g1^2)) and takes its first step through the
-    origin. Each evaluation is one pass over two preallocated work arrays,
-    and the last one is the returned X, so the realized power is measured on
-    exactly the data returned and meets the target to rounding. A zero
-    target (+inf dB, or an all-zero clean signal) gives sigma = 0 and
-    X = clean, and draws nothing.
+    origin. Besides ``clean`` it holds three full-size arrays, the draws g1
+    and g2 and one work array. Each evaluation passes over them in blocks of
+    ``_NOISE_BLOCK`` elements, forming the lifted signal and X per block,
+    and writes (X - clean)^2 into the work array, whose mean is the realized
+    power. The stop test reads only sigmas, so it runs before an evaluation,
+    and the last pass writes X at the final sigma over g1 and returns it:
+    the realized power is measured on exactly the data returned and meets
+    the target to rounding. A zero target (+inf dB, or an all-zero clean
+    signal) gives sigma = 0 and X = clean, and draws nothing.
     """
     if target_power == 0.0:
         return clean.copy(), 0.0
     g1 = rng.standard_normal(clean.shape)
     g2 = rng.standard_normal(clean.shape)
     baseline = -float(clean.min()) + 6.0 * np.sqrt(target_power)
-    lifted = clean + baseline
-    x = np.empty_like(clean)
-    work = np.empty_like(clean)
+    work = np.empty(clean.shape)
+    flat_clean, flat_g1, flat_g2, flat_work = (a.reshape(-1) for a in (clean, g1, g2, work))
+    block = min(_NOISE_BLOCK, clean.size)
+    lifted = np.empty(block)
+    scaled = np.empty(block)
+
+    def noisy_blocks(sigma):
+        # X = hypot(clean + baseline + sigma g1, sigma g2) - baseline, one
+        # block at a time; yields the slice and X's block
+        for lo in range(0, clean.size, block):
+            hi = min(lo + block, clean.size)
+            x, y = lifted[: hi - lo], scaled[: hi - lo]
+            np.add(flat_clean[lo:hi], baseline, out=x)
+            np.multiply(flat_g1[lo:hi], sigma, out=y)
+            np.add(x, y, out=x)
+            np.multiply(flat_g2[lo:hi], sigma, out=y)
+            np.hypot(x, y, out=x)
+            np.subtract(x, baseline, out=x)
+            yield slice(lo, hi), x
 
     def amplitude(sigma):
-        # x = hypot(lifted + sigma g1, sigma g2) - baseline, then the RMS of
-        # x - clean; np.mean sums pairwise, independent of the BLAS
-        np.multiply(g1, sigma, out=x)
-        np.add(lifted, x, out=x)
-        np.multiply(g2, sigma, out=work)
-        np.hypot(x, work, out=x)
-        np.subtract(x, baseline, out=x)
-        np.subtract(x, clean, out=work)
-        np.square(work, out=work)
+        # the RMS of X - clean; np.mean sums pairwise over the whole work
+        # array, independent of the blocks and of the BLAS
+        for part, x in noisy_blocks(sigma):
+            np.subtract(x, flat_clean[part], out=flat_work[part])
+            np.square(flat_work[part], out=flat_work[part])
         return float(np.sqrt(np.mean(work)))
+
+    def noisy(sigma):
+        for part, x in noisy_blocks(sigma):
+            flat_g1[part] = x
+        return g1, sigma
 
     target = float(np.sqrt(target_power))
     np.square(g1, out=work)
     sigma = target / float(np.sqrt(np.mean(work)))
     prev_sigma, prev_amp = 0.0, 0.0
     for _ in range(_MAX_POWER_EVALS):
+        if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma:
+            return noisy(sigma)
         amp = amplitude(sigma)
-        if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma or amp == target:
-            return x, sigma
+        if amp == target:
+            return noisy(sigma)
         if amp == prev_amp:
             raise RuntimeError(
                 f"noise calibration stalled: sigma {prev_sigma!r} and {sigma!r} "

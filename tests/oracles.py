@@ -5,12 +5,15 @@ is a plain bisection, spectral quantities come from dense eigensolvers, the
 surrogates are written out from their definitions, and correlations,
 matching and alignment go one pair at a time or over dense materialized
 sources. The ICA reference alone reuses the package's whitening, because it
-checks the fixed-point loop's stops, not its arithmetic.
+checks the fixed-point loop's stops, not its arithmetic; the noise
+calibration's reference reuses its stop constants, because it checks the
+blocked passes, not the secant search.
 """
 
 import numpy as np
 
 from iadl.initializer import _sym_decorrelate, _whiten
+from iadl.synthgen import _MAX_POWER_EVALS, _SIGMA_STEP_RTOL
 
 
 def weighted_l1_norm(x, w) -> float:
@@ -319,3 +322,53 @@ def pairwise_align(dv, sv, delta):
         if sign < 0:
             s_new[i] = -s_new[i]
     return d_new, s_new
+
+
+def dense_rician_noise(clean, target_power, rng):
+    """The noise calibration over whole arrays: the lifted signal and X are
+    full-size arrays, and every evaluation writes X; returns X and sigma.
+
+    Same draws, secant steps and stops as ``synthgen._add_rician_noise``,
+    whose blocked passes must reproduce it bit for bit.
+    """
+    if target_power == 0.0:
+        return clean.copy(), 0.0
+    g1 = rng.standard_normal(clean.shape)
+    g2 = rng.standard_normal(clean.shape)
+    baseline = -float(clean.min()) + 6.0 * np.sqrt(target_power)
+    lifted = clean + baseline
+    x = np.empty_like(clean)
+    work = np.empty_like(clean)
+
+    def amplitude(sigma):
+        # x = hypot(lifted + sigma g1, sigma g2) - baseline, then the RMS of
+        # x - clean; np.mean sums pairwise, independent of the BLAS
+        np.multiply(g1, sigma, out=x)
+        np.add(lifted, x, out=x)
+        np.multiply(g2, sigma, out=work)
+        np.hypot(x, work, out=x)
+        np.subtract(x, baseline, out=x)
+        np.subtract(x, clean, out=work)
+        np.square(work, out=work)
+        return float(np.sqrt(np.mean(work)))
+
+    target = float(np.sqrt(target_power))
+    np.square(g1, out=work)
+    sigma = target / float(np.sqrt(np.mean(work)))
+    prev_sigma, prev_amp = 0.0, 0.0
+    for _ in range(_MAX_POWER_EVALS):
+        amp = amplitude(sigma)
+        if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma or amp == target:
+            return x, sigma
+        if amp == prev_amp:
+            raise RuntimeError(
+                f"noise calibration stalled: sigma {prev_sigma!r} and {sigma!r} "
+                f"both realize noise amplitude {amp!r}"
+            )
+        step = (target - amp) * (sigma - prev_sigma) / (amp - prev_amp)
+        prev_sigma, prev_amp = sigma, amp
+        sigma += step
+    raise RuntimeError(
+        f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
+        f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -11,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadl import io as iadl_io
 from iadl.cli import main
 from iadl.hrf import estimate_c_delta
 from iadl.initializer import initialize
@@ -62,6 +64,25 @@ def test_binary_round_trip_exact(tmp_path, rng):
     save_matrix(m, path)
     back = load_matrix(path)
     np.testing.assert_array_equal(back, m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda r: r.standard_normal((7, 5)), lambda r: r.standard_normal((5, 7)).T,
+     lambda r: r.standard_normal((1, 1))],
+    ids=["contiguous", "transposed_view", "one_by_one"],
+)
+def test_saved_file_is_header_then_payload_and_hashes_in_chunks(tmp_path, rng, monkeypatch, make):
+    m = make(rng)
+    path = tmp_path / "m.iadl"
+    save_matrix(m, path)
+    header = struct.pack("<4sHII", b"IADL", 1, *m.shape)
+    assert path.read_bytes() == header + np.ascontiguousarray(m).tobytes()
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha256_file(path) == expected
+    # reads shorter than the file, the last one partial
+    monkeypatch.setattr(iadl_io, "_HASH_CHUNK", 7)
+    assert sha256_file(path) == expected
 
 
 @pytest.mark.parametrize(

@@ -618,6 +618,15 @@ def test_run_iadl_deterministic(rng):
     np.testing.assert_array_equal(res1.trace.objective, res2.trace.objective)
 
 
+def test_run_iadl_forms_no_data_sized_array(rng, traced_peak):
+    # the start's objective comes from X S^T and S S^T, like every other one
+    x, d0, s0, delta, spec = make_instance(rng, t=200, n=4000, k=4)
+    cfg = SolverConfig(max_iters=3, rel_obj_tol=0.0)
+    res, peak = traced_peak(lambda: run_iadl(x, d0, s0, delta, spec, cfg))
+    assert res.trace.iterations_run == 3
+    assert peak < x.values.nbytes
+
+
 def test_run_iadl_shape_validation(rng):
     x, d0, s0, delta, spec = make_instance(rng)
     bad_delta = TaskTimeCourses(rng.standard_normal((x.n_times, 3)))

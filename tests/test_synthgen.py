@@ -26,7 +26,7 @@ from iadl.synthgen import (
 )
 from iadl.hrf import ConditionSpec, canonical_params
 
-from oracles import sparsity_percentage
+from oracles import dense_rician_noise, sparsity_percentage
 
 FULL_TARGET_THETAS = [
     95.28, 95.33, 95.53, 88.25, 93.30, 97.04, 88.07, 91.82, 85.51, 92.67,
@@ -154,6 +154,60 @@ def test_realized_noise_power_meets_target(seed, snr_db, recipe):
     assert ds.noise_sigma > 0.0
     realized = np.mean((ds.x.values - clean) ** 2)
     assert abs(realized - target) <= 1e-10 * target
+
+
+def assert_calibration_matches_dense_reference(clean, snr_db, seed):
+    """The blocked calibration returns the dense reference's X and sigma bit
+    for bit and leaves the generator where the reference leaves it."""
+    target_power = float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, sigma = synthgen._add_rician_noise(clean, target_power, rng)
+    x_ref, sigma_ref = dense_rician_noise(clean, target_power, twin)
+    np.testing.assert_array_equal(x.view(np.int64), x_ref.view(np.int64))
+    assert repr(sigma) == repr(sigma_ref)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return sigma, rng
+
+
+def _clean(ds):
+    return ds.truth.time_courses @ ds.truth.spatial_maps
+
+
+@pytest.mark.parametrize(
+    "build, snr_db, seed",
+    [(mini_benchmark, 10.0, s) for s in range(5)] + [(full_benchmark, 0.0, 7)],
+    ids=[f"mini_seed{s}" for s in range(5)] + ["full_seed7"],
+)
+def test_noise_calibration_matches_dense_reference(build, snr_db, seed):
+    clean = _clean(build(np.random.default_rng(seed), snr_db=np.inf))
+    sigma, _ = assert_calibration_matches_dense_reference(clean, snr_db, seed)
+    assert sigma > 0.0
+
+
+def test_noise_calibration_of_a_zero_target_draws_nothing():
+    sigma, rng = assert_calibration_matches_dense_reference(np.zeros((6, 9)), 10.0, 4)
+    assert sigma == 0.0
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-20.0, 60.0), recipe=small_recipes())
+def test_noise_calibration_matches_dense_reference_on_small_recipes(seed, snr_db, recipe):
+    rng = np.random.default_rng(seed)
+    if recipe is None:
+        ds = mini_benchmark(rng, snr_db=np.inf)
+    else:
+        specs, grid, n_times = recipe
+        ds = assemble_dataset(specs, grid, n_times, 2.0, canonical_params(), np.inf, rng)
+    assert_calibration_matches_dense_reference(_clean(ds), snr_db, seed)
+
+
+def test_noise_calibration_holds_three_full_size_arrays(rng, traced_peak):
+    # g1, g2 and one work array; the lifted signal and X are formed in blocks
+    clean = rng.standard_normal((300, 2000))
+    (_, sigma), peak = traced_peak(lambda: synthgen._add_rician_noise(clean, 0.5, rng))
+    assert sigma > 0.0
+    assert peak <= 3 * clean.nbytes + 2**20
 
 
 def test_assemble_all_zero_signal_gets_no_noise(rng):
