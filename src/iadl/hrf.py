@@ -5,6 +5,11 @@ The canonical parameter set follows the widely used two-gamma convention
 (peak at 6 s, undershoot at 16 s, unit dispersions, undershoot ratio 1/6,
 32 s kernel); it is a convention default, not measured data, and every
 value is configurable.
+
+The gamma density is computed from ``scipy.special`` the way
+``scipy.stats.gamma.pdf`` computes it, and gives the same bits. Importing
+``scipy.stats`` for it alone would load its whole dependency tree
+(``optimize``, ``sparse``, ``spatial``, ``integrate`` and more).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,11 @@ class TwoGammaParams:
                 raise ValueError(f"{name} must be positive")
         if self.undershoot_ratio < 0:
             raise ValueError("undershoot_ratio must be non-negative")
+        # a gamma shape below 1 makes the density infinite at its onset
+        for delay, dispersion in (("peak_delay", "peak_dispersion"),
+                                  ("undershoot_delay", "undershoot_dispersion")):
+            if getattr(self, delay) < getattr(self, dispersion):
+                raise ValueError(f"{delay} must not be below {dispersion}")
 
 
 def canonical_params() -> TwoGammaParams:
@@ -57,12 +67,26 @@ def default_alternate_hrf() -> TwoGammaParams:
     )
 
 
+def _gamma_pdf(t: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """Gamma density at ``t``, bit for bit ``scipy.stats.gamma.pdf(t, shape,
+    scale=scale)``: ``exp(xlogy(shape - 1, u) - u - gammaln(shape)) / scale``
+    at ``u = t / scale >= 0``, evaluated on those points alone, and 0
+    elsewhere."""
+    u = t / scale
+    inside = u >= 0
+    ui = u[inside]
+    out = np.zeros_like(u)
+    out[inside] = np.exp(xlogy(shape - 1.0, ui) - ui - gammaln(shape)) / scale
+    return out
+
+
 def hrf_curve(params: TwoGammaParams, dt: float) -> np.ndarray:
     """Sample the double-gamma response on t = 0, dt, ..., kernel_length.
 
     The curve is the difference of two gamma density shapes (peak minus
     scaled undershoot), shifted by ``onset`` and normalized so its largest
-    magnitude is 1.
+    magnitude is 1. Each density is ``_gamma_pdf``, which gives the bits of
+    ``scipy.stats.gamma.pdf``.
 
     Parameters
     ----------
@@ -75,13 +99,13 @@ def hrf_curve(params: TwoGammaParams, dt: float) -> np.ndarray:
         raise ValueError("sampling step must be positive")
     t = dt * np.arange(int(np.floor(params.kernel_length / dt)) + 1)
     ts = t - params.onset
-    peak = gamma_dist.pdf(
-        ts, params.peak_delay / params.peak_dispersion, scale=params.peak_dispersion
+    peak = _gamma_pdf(
+        ts, params.peak_delay / params.peak_dispersion, params.peak_dispersion
     )
-    undershoot = gamma_dist.pdf(
+    undershoot = _gamma_pdf(
         ts,
         params.undershoot_delay / params.undershoot_dispersion,
-        scale=params.undershoot_dispersion,
+        params.undershoot_dispersion,
     )
     h = peak - params.undershoot_ratio * undershoot
     top = np.max(np.abs(h))
@@ -96,7 +120,11 @@ def canonical_hrf(dt: float) -> np.ndarray:
 
 def sample_hrf(rng: np.random.Generator, spread: float = 0.3) -> TwoGammaParams:
     """Draw subject parameters uniformly within ``spread`` of the canonical
-    values, resampling until the peak precedes the undershoot."""
+    values, resampling until the peak precedes the undershoot and neither
+    delay is below its dispersion (``TwoGammaParams`` refuses that draw).
+
+    Up to a spread of 5/7 no delay can fall below its dispersion, so only
+    the first rule resamples there."""
     if not 0.0 <= spread < 1.0:
         raise ValueError("spread must lie in [0, 1)")
     base = canonical_params()
@@ -106,7 +134,10 @@ def sample_hrf(rng: np.random.Generator, spread: float = 0.3) -> TwoGammaParams:
             center = getattr(base, field.name)
             drawn[field.name] = rng.uniform((1 - spread) * center, (1 + spread) * center)
         if drawn["peak_delay"] < drawn["undershoot_delay"]:
-            return TwoGammaParams(**drawn)
+            try:
+                return TwoGammaParams(**drawn)
+            except ValueError:  # a delay below its dispersion
+                continue
     raise RuntimeError("could not draw a valid parameter set; spread too large")
 
 

@@ -7,10 +7,12 @@ matching and alignment go one pair at a time or over dense materialized
 sources. The ICA reference alone reuses the package's whitening, because it
 checks the fixed-point loop's stops, not its arithmetic; the noise
 calibration's reference reuses its stop constants, because it checks the
-blocked passes, not the secant search.
+blocked passes, not the secant search. The response reference takes its
+densities from ``scipy.stats``, which the package does not import.
 """
 
 import numpy as np
+from scipy.stats import gamma as gamma_dist
 
 from iadl.initializer import _sym_decorrelate, _whiten
 from iadl.synthgen import _MAX_POWER_EVALS, _SIGMA_STEP_RTOL
@@ -372,3 +374,24 @@ def dense_rician_noise(clean, target_power, rng):
         f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
         f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"
     )
+
+
+def scipy_two_gamma_curve(params, dt):
+    """``hrf.hrf_curve`` with each density from ``scipy.stats.gamma.pdf``."""
+    if dt <= 0:
+        raise ValueError("sampling step must be positive")
+    t = dt * np.arange(int(np.floor(params.kernel_length / dt)) + 1)
+    ts = t - params.onset
+    peak = gamma_dist.pdf(
+        ts, params.peak_delay / params.peak_dispersion, scale=params.peak_dispersion
+    )
+    undershoot = gamma_dist.pdf(
+        ts,
+        params.undershoot_delay / params.undershoot_dispersion,
+        scale=params.undershoot_dispersion,
+    )
+    h = peak - params.undershoot_ratio * undershoot
+    top = np.max(np.abs(h))
+    if top == 0.0:
+        raise ValueError("response is identically zero on the sampled kernel")
+    return h / top

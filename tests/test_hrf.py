@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import gamma as gamma_dist
 
 from iadl.hrf import (
     ConditionSpec,
     TwoGammaParams,
+    _gamma_pdf,
     build_regressor,
     canonical_hrf,
     canonical_params,
@@ -13,6 +15,8 @@ from iadl.hrf import (
     sample_hrf,
     task_time_course,
 )
+
+from oracles import scipy_two_gamma_curve
 
 
 def test_no_undershoot_curve_nonnegative():
@@ -41,12 +45,13 @@ def test_canonical_hrf_length_and_peak():
 
 
 def test_curves_bounded_by_one():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        p = sample_hrf(rng)
-        h = hrf_curve(p, 1.0)
-        assert np.all(np.isfinite(h))
-        assert np.max(np.abs(h)) <= 1.0 + 1e-12
+    for spread in (0.3, 0.9):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = sample_hrf(rng, spread)
+            h = hrf_curve(p, 1.0)
+            assert np.all(np.isfinite(h))
+            assert np.max(np.abs(h)) <= 1.0 + 1e-12
 
 
 def test_invalid_params_rejected():
@@ -58,18 +63,59 @@ def test_invalid_params_rejected():
         hrf_curve(canonical_params(), 0.0)
 
 
+@pytest.mark.parametrize("delay, dispersion, values", [
+    ("peak_delay", "peak_dispersion", {"peak_delay": 0.9}),
+    ("undershoot_delay", "undershoot_dispersion",
+     {"undershoot_delay": 2.0, "undershoot_dispersion": 2.5}),
+])
+def test_delay_below_dispersion_rejected(delay, dispersion, values):
+    # a gamma shape below 1 puts an infinite density at the onset sample
+    with pytest.raises(ValueError, match=f"^{delay} must not be below {dispersion}$"):
+        TwoGammaParams(**values)
+
+
+def test_delay_equal_to_dispersion_accepted():
+    p = TwoGammaParams(peak_delay=1.5, peak_dispersion=1.5)
+    assert np.all(np.isfinite(hrf_curve(p, 0.5)))
+
+
+def test_hrf_curve_matches_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(11)
+    draws = [sample_hrf(rng, spread) for spread in (0.0, 0.3, 0.7) for _ in range(40)]
+    for p in draws:
+        for dt in (0.1, 0.5, 2.0, 2.5):
+            got = hrf_curve(p, dt)
+            want = scipy_two_gamma_curve(p, dt)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # the density itself, off and on its support
+    t = np.concatenate([
+        -np.geomspace(1e-3, 40.0, 50),
+        [-5e-324, -0.0, 0.0, 5e-324, 2.2e-308],
+        np.linspace(1e-6, 60.0, 2001),
+    ])
+    for shape in (1.0, 1.5, 6.0, 16.0):
+        for scale in (0.1, 0.75, 1.0, 1.3, 3.0):
+            got = _gamma_pdf(t, shape, scale)
+            want = gamma_dist.pdf(t, shape, scale=scale)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_sample_hrf_zero_spread_is_canonical():
     p = sample_hrf(np.random.default_rng(0), spread=0.0)
     assert p == canonical_params()
 
 
 def test_sample_hrf_draws_valid_families():
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        p = sample_hrf(rng, spread=0.3)
-        assert p.peak_delay < p.undershoot_delay
-        assert p.peak_dispersion > 0 and p.undershoot_dispersion > 0
-        assert p.undershoot_ratio >= 0
+    # above a spread of 5/7 a delay can be drawn below its dispersion
+    for spread in (0.3, 0.9):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            p = sample_hrf(rng, spread=spread)
+            assert p.peak_delay < p.undershoot_delay
+            assert p.peak_delay >= p.peak_dispersion
+            assert p.undershoot_delay >= p.undershoot_dispersion
+            assert p.peak_dispersion > 0 and p.undershoot_dispersion > 0
+            assert p.undershoot_ratio >= 0
 
 
 def test_sample_hrf_seeded_reproducible():

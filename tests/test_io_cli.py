@@ -619,6 +619,21 @@ def test_cli_blind_fit_and_checksum_refusal(tmp_path, mini_config_path, capsys):
     assert "different data" in capsys.readouterr().err
 
 
+def test_cli_simulates_a_wide_response_spread(tmp_path):
+    # at spread 0.9 a delay can fall below its dispersion; such a draw gave
+    # a NaN response and a failed noise calibration until it was resampled
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "mini.yaml").read_text()
+    assert "hrf_spread: 0.3" in shipped
+    config = tmp_path / "wide.yaml"
+    config.write_text(shipped.replace("hrf_spread: 0.3", "hrf_spread: 0.9"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(config), "--seed", "3", "--out", str(data)]) == 0
+    assert np.all(np.isfinite(load_matrix(data / "x.iadl")))
+    hrf = json.loads((data / "meta.json").read_text())["subject_hrf"]
+    assert hrf["peak_delay"] >= hrf["peak_dispersion"]
+    assert hrf["undershoot_delay"] >= hrf["undershoot_dispersion"]
+
+
 def test_cli_simulate_deterministic(tmp_path, mini_config_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

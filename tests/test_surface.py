@@ -8,6 +8,9 @@ that only tests read belong in ``tests/oracles.py``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +66,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert len(surface) > 50
     unused = [name for name in surface if name.rsplit(".", 1)[1] not in used]
     assert sorted(unused) == sorted(AWAITING_CALLER), f"public names only tests use: {unused}"
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats pulls in optimize, sparse, spatial and more, about 38 MB
+    # of resident memory under every command; the package needs none of it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, iadl, iadl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
