@@ -18,14 +18,7 @@ import numpy as np
 from . import io as iadl_io
 from . import synthgen
 from .evaluation import FULL_SOURCE, TIME_COURSE, atlas_fbn_sparsity, match_and_score
-from .hrf import (
-    build_regressor,
-    canonical_hrf,
-    canonical_params,
-    estimate_c_delta,
-    sample_hrf,
-    task_time_course,
-)
+from .hrf import canonical_hrf, canonical_params, estimate_c_delta, sample_hrf, task_courses
 from .initializer import initialize
 from .solver import run_iadl
 from .types import (
@@ -46,18 +39,6 @@ def _load_config(args) -> iadl_io.ExperimentConfig:
     return config if args.seed is None else replace(config, seed=args.seed)
 
 
-def _task_courses_canonical(config) -> np.ndarray:
-    """Task time courses under the canonical response (the knowledge handed
-    to the solver, regardless of the subject response in the data)."""
-    ds = config.dataset
-    h = canonical_hrf(ds.tr)
-    cols = []
-    for cond in config.resolved_conditions():
-        u = build_regressor(cond, ds.n_times, ds.tr)
-        cols.append(task_time_course(u, h))
-    return np.column_stack(cols) if cols else np.zeros((ds.n_times, 0))
-
-
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
@@ -68,17 +49,21 @@ def cmd_simulate(args) -> int:
         subject_hrf = sample_hrf(rng, ds_cfg.hrf_spread)
     else:
         subject_hrf = canonical_params()
-    builder = synthgen.mini_benchmark if ds_cfg.recipe == "mini" else synthgen.full_benchmark
-    dataset = builder(rng, snr_db=ds_cfg.snr_db, hrf_params=subject_hrf)
+    recipe = synthgen.RECIPES[ds_cfg.recipe]
+    dataset = recipe.generate(rng, snr_db=ds_cfg.snr_db, hrf_params=subject_hrf)
+    # the knowledge handed to the solver: the task courses under the
+    # canonical response, whatever the subject response in the data
+    delta = task_courses(config.resolved_conditions(), recipe.n_times, recipe.tr,
+                         canonical_hrf(recipe.tr))
 
     iadl_io.save_matrix(dataset.x.values, out / "x.iadl")
     iadl_io.save_matrix(dataset.truth.time_courses, out / "true_courses.iadl")
     iadl_io.save_matrix(dataset.truth.spatial_maps, out / "true_maps.iadl")
-    iadl_io.save_matrix(_task_courses_canonical(config), out / "task_courses.iadl")
+    iadl_io.save_matrix(delta, out / "task_courses.iadl")
     meta = {
         "recipe": ds_cfg.recipe,
-        "grid": list(dataset.grid),
-        "tr": ds_cfg.tr,
+        "grid": list(recipe.grid),
+        "tr": recipe.tr,
         "snr_db": ds_cfg.snr_db,
         "seed": config.seed,
         "kinds": list(dataset.truth.kinds),

@@ -1,6 +1,10 @@
 """Two-gamma hemodynamic response model, task regressors and the
 similarity-radius estimator.
 
+``task_courses`` is the one place conditions become task courses: the
+simulator, the courses handed to the solver and the similarity radius all
+build theirs with it.
+
 The canonical parameter set follows the widely used two-gamma convention
 (peak at 6 s, undershoot at 16 s, unit dispersions, undershoot ratio 1/6,
 32 s kernel); it is a convention default, not measured data, and every
@@ -202,24 +206,27 @@ def task_time_course(u, h) -> np.ndarray:
     return out
 
 
+def task_courses(conditions, n_times: int, tr: float, h) -> np.ndarray:
+    """The unit-peak course of each condition under the sampled response
+    ``h`` (``build_regressor`` then ``task_time_course``), one column per
+    condition; shape (n_times, 0) for no conditions."""
+    cols = [task_time_course(build_regressor(cond, n_times, tr), h) for cond in conditions]
+    return np.column_stack(cols) if cols else np.zeros((n_times, 0))
+
+
 def estimate_c_delta(conditions, n_times: int, tr: float) -> float:
     """Similarity radius from the expected response variability.
 
-    For each condition, builds the unit-peak task course under the canonical
-    response and under ``default_alternate_hrf()``, and returns the mean
-    squared distance between the two across conditions: how far a subject
-    whose response differs that much from the canonical one moves each
-    task course.
+    Builds the task courses under the canonical response and under
+    ``default_alternate_hrf()``, and returns the mean squared distance
+    between the two across conditions: how far a subject whose response
+    differs that much from the canonical one moves each task course.
     """
     conditions = list(conditions)
     if not conditions:
         raise ValueError("need at least one condition")
-    h_ref = canonical_hrf(tr)
-    h_alt = hrf_curve(default_alternate_hrf(), tr)
-    distances = []
-    for cond in conditions:
-        u = build_regressor(cond, n_times, tr)
-        d_ref = task_time_course(u, h_ref)
-        d_alt = task_time_course(u, h_alt)
-        distances.append(float(np.sum((d_ref - d_alt) ** 2)))
-    return float(np.mean(distances))
+    ref = task_courses(conditions, n_times, tr, canonical_hrf(tr))
+    alt = task_courses(conditions, n_times, tr, hrf_curve(default_alternate_hrf(), tr))
+    # each squared column is a fresh contiguous array, so every distance is
+    # the pairwise sum a single course gives
+    return float(np.mean([float(np.sum(d**2)) for d in (ref - alt).T]))

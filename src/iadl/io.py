@@ -142,23 +142,21 @@ def verify_manifest(directory) -> None:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    recipe: str = "mini"
+    recipe: str = synthgen.DEFAULT_RECIPE
     snr_db: float = 0.0
     hrf_spread: float = 0.3
 
     @property
     def n_times(self) -> int:
-        return synthgen.MINI_N_TIMES if self.recipe == "mini" else synthgen.FULL_N_TIMES
+        return synthgen.RECIPES[self.recipe].n_times
 
     @property
     def tr(self) -> float:
-        return synthgen.MINI_TR if self.recipe == "mini" else synthgen.FULL_TR
+        return synthgen.RECIPES[self.recipe].tr
 
     @property
     def conditions(self) -> tuple:
-        if self.recipe == "mini":
-            return synthgen.MINI_CONDITIONS
-        return synthgen.FULL_CONDITIONS
+        return synthgen.RECIPES[self.recipe].conditions
 
 
 @dataclass(frozen=True)
@@ -260,8 +258,9 @@ def _reals(path, key, values, rule=_real) -> tuple:
 
 
 def _recipe(path, key, value) -> str:
-    if value not in ("mini", "full"):
-        raise ValueError(f"{path}: config key {key!r} must be 'mini' or 'full', got {value!r}")
+    if not isinstance(value, str) or value not in synthgen.RECIPES:
+        names = " or ".join(repr(name) for name in synthgen.RECIPES)
+        raise ValueError(f"{path}: config key {key!r} must be {names}, got {value!r}")
     return value
 
 

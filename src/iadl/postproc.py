@@ -48,24 +48,25 @@ def zscore_threshold(spatial_map, z_min: float = 1.97):
 def concat_group(datasets, deltas):
     """Stack per-subject data and task courses along time.
 
-    All subjects must share the voxel grid and the task-course count; the
-    similarity radius should be re-estimated on the concatenated courses
+    All subjects must share the voxel grid, the TR and the task-course
+    count; re-estimate the similarity radius on the concatenated courses
     afterwards, since residual energies add across subjects.
     """
     datasets = list(datasets)
     deltas = list(deltas)
     if not datasets or len(datasets) != len(deltas):
         raise ValueError("need one task-course set per dataset")
-    n = datasets[0].n_voxels
+    n, tr = datasets[0].n_voxels, datasets[0].tr
     m = deltas[0].n_courses
     for ds, dl in zip(datasets, deltas):
         if ds.n_voxels != n:
             raise ValueError("voxel counts differ across subjects")
+        if ds.tr != tr:
+            raise ValueError(f"repetition times differ across subjects: {tr} and {ds.tr}")
         if dl.n_courses != m:
             raise ValueError("task-course counts differ across subjects")
         if dl.n_times != ds.n_times:
             raise ValueError("task courses must cover each subject's scan")
     x = np.vstack([ds.values for ds in datasets])
     delta = np.vstack([dl.values for dl in deltas])
-    tr = datasets[0].tr
     return DataMatrix(x, tr=tr), TaskTimeCourses(delta)

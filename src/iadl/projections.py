@@ -27,7 +27,8 @@ def compute_weights(x, epsilon: float) -> np.ndarray:
 
 
 def _check_weights(w):
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+    # a NaN fails the first comparison
+    if w.size and not (np.min(w) > 0 and np.max(w) < np.inf):
         raise ValueError("weights must be strictly positive and finite")
 
 
@@ -86,39 +87,49 @@ def _project_block(v, w, phi):
 
 def _shrink(v, w, gamma):
     """Soft-threshold ``v`` at ``gamma * w`` (``gamma`` broadcast against
-    ``w``): signs are kept and shrunk entries become exact (positive)
-    zeros."""
-    part = np.abs(v) - gamma * w
-    return np.where(part > 0.0, np.sign(v) * part, 0.0)
+    ``w``) in one array: ``sign(v) * part`` where ``part = |v| - gamma * w``
+    is positive, else +0.0 (``fmax`` takes a NaN part to 0, and ``+ 0.0``
+    turns the -0.0 of a shrunk negative entry into +0.0)."""
+    part = np.abs(v)
+    part -= gamma * w
+    np.fmax(part, 0.0, out=part)
+    part *= np.sign(v)
+    part += 0.0
+    return part
 
 
 def _project_rows(v, w, phi):
     """Row-wise projection on validated inputs: float64 arrays, strictly
-    positive weights, non-negative radii."""
-    out = np.array(v, dtype=np.float64, copy=True)
-    todo = np.flatnonzero(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
-    out[todo[phi[todo] == 0.0]] = 0.0
-    todo = todo[phi[todo] > 0.0]
-    if todo.size == 0:
-        return out
-    wt, pt = w[todo], phi[todo]
-    block = _project_block(v[todo], wt, pt)
+    positive weights, non-negative radii. When every row violates a positive
+    radius, the block is projected as it is, with no copy of its rows."""
+    over = np.einsum("ij,ij->i", w, np.abs(v)) > phi
+    todo = np.flatnonzero(over & (phi > 0.0))
+    if todo.size == v.shape[0]:
+        return _project_violating(v, w, phi)
+    out = np.array(v, copy=True)
+    out[over & (phi == 0.0)] = 0.0
+    if todo.size:
+        out[todo] = _project_violating(v[todo], w[todo], phi[todo])
+    return out
 
+
+def _project_violating(v, w, phi):
+    """``_project_block``, then the rows that round past phi mended."""
+    block = _project_block(v, w, phi)
     # Survivors |v| - gamma * w keep only the low bits of |v| when the
     # weights dwarf the radius, so a row can round past phi by far more than
     # an ulp of phi. Raising the threshold by excess / sum(w^2) over the
     # survivors takes the excess off them in proportion to their weights and
     # leaves large entries with small weights in place; a row still past phi
     # (survivors too small to shift) is then scaled back onto its sphere.
-    norms = np.einsum("ij,ij->i", wt, np.abs(block))
-    over = np.flatnonzero(norms > pt)
-    rows, wo, po = block[over], wt[over], pt[over]
+    norms = np.einsum("ij,ij->i", w, np.abs(block))
+    over = np.flatnonzero(norms > phi)
+    rows, wo, po = block[over], w[over], phi[over]
     lift = (norms[over] - po) / np.einsum("ij,ij->i", wo * wo, rows != 0.0)
     rows = _shrink(rows, wo, lift[:, None])
     norms = np.einsum("ij,ij->i", wo, np.abs(rows))
     block[over] = rows * (po / np.maximum(norms, po))[:, None]
-    out[todo] = block
-    return out
+    return block
 
 
 def project_weighted_l1_rows(v, w, phi) -> np.ndarray:

@@ -2,6 +2,11 @@
 task/transient time courses under a subject response, realistic artifact
 sources and Rician noise.
 
+Each benchmark is one frozen ``Recipe`` in ``RECIPES``, under the name a
+config's ``dataset.recipe`` gives it: grid, samples, TR, default SNR and
+source specs, whose task sources carry its conditions. Other modules read a
+recipe's numbers from its record, and ``Recipe.generate`` builds its data.
+
 The scale of the injected noise is calibrated on the realized magnitude
 perturbation: sigma is found by secant steps so that mean((X - Y)^2) on the
 returned X meets the power implied by the requested SNR to rounding. That
@@ -21,9 +26,9 @@ from scipy.ndimage import gaussian_filter1d
 from .hrf import (
     ConditionSpec,
     TwoGammaParams,
-    build_regressor,
     canonical_params,
     hrf_curve,
+    task_courses,
     task_time_course,
 )
 from .types import DataMatrix, SourceSet, phi_from_theta
@@ -85,9 +90,7 @@ class SyntheticDataset:
     x: DataMatrix
     truth: SourceSet
     assisted_indices: tuple
-    hrf: TwoGammaParams
     noise_sigma: float
-    grid: tuple
 
 
 def generate_spatial_map(spec: SyntheticSourceSpec, grid, rng) -> np.ndarray:
@@ -151,13 +154,13 @@ def generate_artifact_pair(kind: str, sparsity: float, n_times: int, n_voxels: i
     return course, spatial
 
 
-def transient_time_course(n_times: int, tr: float, hrf_params: TwoGammaParams, rng) -> np.ndarray:
+def transient_time_course(n_times: int, h, rng) -> np.ndarray:
     """Spontaneous activity: a sparse event train convolved with the
-    subject response, unit peak."""
+    sampled subject response ``h``, unit peak."""
     events = (rng.random(n_times) < _EVENT_RATE).astype(np.float64)
     if not events.any():
         events[int(rng.integers(n_times))] = 1.0
-    return task_time_course(events, hrf_curve(hrf_params, tr))
+    return task_time_course(events, h)
 
 
 def _add_rician_noise(clean, target_power, rng):
@@ -262,105 +265,58 @@ def assemble_dataset(
         raise ValueError("need at least one source recipe")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError("snr_db must be a real number or +inf")
-    h, w = grid
-    n_voxels = h * w
+    n_voxels = grid[0] * grid[1]
 
+    h = hrf_curve(hrf_params, tr)
+    tasks = [j for j, spec in enumerate(specs) if spec.kind == TASK]
     courses = np.zeros((n_times, len(specs)))
+    courses[:, tasks] = task_courses([specs[j].condition for j in tasks], n_times, tr, h)
     maps = np.zeros((len(specs), n_voxels))
-    kinds = []
     for j, spec in enumerate(specs):
         if spec.kind in BRAIN_KINDS:
             maps[j] = generate_spatial_map(spec, grid, rng)
-            if spec.kind == TASK:
-                u = build_regressor(spec.condition, n_times, tr)
-                courses[:, j] = task_time_course(u, hrf_curve(hrf_params, tr))
-            else:
-                courses[:, j] = transient_time_course(n_times, tr, hrf_params, rng)
+            if spec.kind == TRANSIENT:
+                courses[:, j] = transient_time_course(n_times, h, rng)
         else:
-            course, spatial = generate_artifact_pair(
+            courses[:, j], maps[j] = generate_artifact_pair(
                 spec.kind, spec.target_sparsity, n_times, n_voxels, rng
             )
-            courses[:, j] = course
-            maps[j] = spatial
-        kinds.append(spec.kind)
 
     clean = courses @ maps
     target_power = float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0)
     x, sigma = _add_rician_noise(clean, target_power, rng)
 
-    truth = SourceSet(time_courses=courses, spatial_maps=maps, kinds=tuple(kinds))
-    assisted = tuple(j for j, spec in enumerate(specs) if spec.kind == TASK)
+    truth = SourceSet(courses, maps, kinds=tuple(spec.kind for spec in specs))
     return SyntheticDataset(
         x=DataMatrix(x, tr=tr),
         truth=truth,
-        assisted_indices=assisted,
-        hrf=hrf_params,
+        assisted_indices=tuple(tasks),
         noise_sigma=float(sigma),
-        grid=(h, w),
     )
 
 
-# Desk-scale benchmark: 40x40 grid, 150 samples at tr=2. Two task sources
-# with interleaved block timings and strongly overlapping double-blob maps,
-# three background sources, three artifacts (two dense).
-MINI_GRID = (40, 40)
-MINI_N_TIMES = 150
-MINI_TR = 2.0
-MINI_SNR_DB = 10.0
-# Two event-related designs with interleaved trains; short events keep the
-# course shapes sensitive to response mismatch, which together with the
-# spatial overlap below is what makes this pair hard to separate blindly.
-MINI_CONDITIONS = (
-    ConditionSpec(onsets=(10.0, 60.0, 110.0, 170.0, 230.0, 280.0),
-                  durations=(6.0, 6.0, 6.0, 6.0, 6.0, 6.0)),
-    ConditionSpec(onsets=(25.0, 75.0, 125.0, 180.0, 225.0, 275.0),
-                  durations=(4.0, 4.0, 4.0, 4.0, 4.0, 4.0)),
-)
-MINI_SPECS = (
-    SyntheticSourceSpec(TASK, 95.0, blob_centers=((13, 13), (13, 27)),
-                        blob_radius=3.2, plateau_fraction=0.15,
-                        condition=MINI_CONDITIONS[0]),
-    SyntheticSourceSpec(TASK, 94.0, blob_centers=((15, 14), (15, 26)),
-                        blob_radius=3.2, plateau_fraction=0.15,
-                        condition=MINI_CONDITIONS[1]),
-    SyntheticSourceSpec(TRANSIENT, 93.0, blob_centers=((30, 8),), blob_radius=3.0),
-    SyntheticSourceSpec(TRANSIENT, 90.0, blob_centers=((8, 32),), blob_radius=3.5),
-    SyntheticSourceSpec(TRANSIENT, 88.0, blob_centers=((28, 28),), blob_radius=4.0),
-    SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 1.0),
-    SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 1.0),
-    SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 70.0),
-)
+@dataclass(frozen=True)
+class Recipe:
+    """A fixed benchmark: grid, ``n_times`` samples every ``tr`` s, default
+    SNR and source specs; its conditions are its task sources', in order."""
 
+    grid: tuple
+    n_times: int
+    tr: float
+    snr_db: float
+    specs: tuple
 
-def mini_benchmark(rng, snr_db: float = MINI_SNR_DB, hrf_params: TwoGammaParams | None = None):
-    """Fixed desk-scale dataset used by the acceptance suite."""
-    return assemble_dataset(
-        MINI_SPECS,
-        MINI_GRID,
-        MINI_N_TIMES,
-        MINI_TR,
-        hrf_params or canonical_params(),
-        snr_db,
-        rng,
-    )
+    @property
+    def conditions(self) -> tuple:
+        return tuple(spec.condition for spec in self.specs if spec.kind == TASK)
 
-
-# Full-scale recipe: 100x100 slice, 300 samples at tr=2, 15 brain-like
-# sources plus 5 artifacts with the reference per-source sparsities. Blob
-# layouts are illustrative; the sparsity percentages are the reproducible
-# targets. Sources 1, 11 and 14 are the task sources, with 11 and 14
-# strongly overlapping.
-FULL_GRID = (100, 100)
-FULL_N_TIMES = 300
-FULL_TR = 2.0
-FULL_CONDITIONS = (
-    ConditionSpec(onsets=(20.0, 140.0, 260.0, 380.0, 500.0),
-                  durations=(40.0,) * 5),
-    ConditionSpec(onsets=(10.0, 70.0, 130.0, 190.0, 250.0, 310.0, 370.0, 430.0, 490.0, 550.0),
-                  durations=(8.0,) * 10),
-    ConditionSpec(onsets=(40.0, 100.0, 160.0, 220.0, 280.0, 340.0, 400.0, 460.0, 520.0, 580.0),
-                  durations=(8.0,) * 10),
-)
+    def generate(self, rng, snr_db: float | None = None,
+                 hrf_params: TwoGammaParams | None = None) -> SyntheticDataset:
+        """The recipe's dataset under the subject response ``hrf_params``
+        (canonical if None), at ``snr_db`` (the recipe's default if None)."""
+        snr_db = self.snr_db if snr_db is None else snr_db
+        return assemble_dataset(self.specs, self.grid, self.n_times, self.tr,
+                                hrf_params or canonical_params(), snr_db, rng)
 
 
 def _brain_spec(theta, centers, radius, kind=TRANSIENT, condition=None):
@@ -374,38 +330,75 @@ def _brain_spec(theta, centers, radius, kind=TRANSIENT, condition=None):
     )
 
 
-FULL_SPECS = (
-    _brain_spec(95.28, ((82, 30), (82, 70)), 7.0, TASK, FULL_CONDITIONS[0]),
-    _brain_spec(95.33, ((12, 50),), 9.0),
-    _brain_spec(95.53, ((30, 50),), 9.0),
-    _brain_spec(88.25, ((20, 20), (20, 80), (45, 50)), 12.0),
-    _brain_spec(93.30, ((55, 42), (55, 58)), 9.0),
-    _brain_spec(97.04, ((60, 30), (60, 70)), 6.5),
-    _brain_spec(88.07, ((8, 35), (8, 65)), 13.0),
-    _brain_spec(91.82, ((35, 15), (35, 85)), 10.0),
-    _brain_spec(85.51, ((25, 65), (40, 75)), 14.0),
-    _brain_spec(92.67, ((50, 45), (50, 55)), 10.0),
-    _brain_spec(91.60, ((45, 20), (52, 28)), 11.0, TASK, FULL_CONDITIONS[1]),
-    _brain_spec(91.53, ((45, 80), (52, 72)), 11.0),
-    _brain_spec(94.51, ((68, 62),), 9.0),
-    _brain_spec(94.57, ((49, 24), (56, 32)), 9.0, TASK, FULL_CONDITIONS[2]),
-    _brain_spec(71.95, ((75, 25), (75, 75), (90, 50)), 20.0),
-    SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 1.00),
-    SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 1.00),
-    SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 1.99),
-    SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 86.14),
-    SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 71.84),
-)
-
-
-def full_benchmark(rng, snr_db: float = 0.0, hrf_params: TwoGammaParams | None = None):
-    """Full-scale dataset with the reference sparsity targets."""
-    return assemble_dataset(
-        FULL_SPECS,
-        FULL_GRID,
-        FULL_N_TIMES,
-        FULL_TR,
-        hrf_params or canonical_params(),
-        snr_db,
-        rng,
-    )
+# Every benchmark the package simulates, by its ``dataset.recipe`` name.
+RECIPES = {
+    # Desk-scale. Two task sources with short, interleaved event trains and
+    # strongly overlapping double-blob maps: the short events keep the course
+    # shapes sensitive to response mismatch, and with the overlap they make
+    # the pair hard to separate blindly. Three background sources and three
+    # artifacts (two dense).
+    "mini": Recipe(
+        grid=(40, 40),
+        n_times=150,
+        tr=2.0,
+        snr_db=10.0,
+        specs=(
+            SyntheticSourceSpec(TASK, 95.0, blob_centers=((13, 13), (13, 27)),
+                                blob_radius=3.2, plateau_fraction=0.15,
+                                condition=ConditionSpec((10.0, 60.0, 110.0, 170.0, 230.0, 280.0),
+                                                        (6.0,) * 6)),
+            SyntheticSourceSpec(TASK, 94.0, blob_centers=((15, 14), (15, 26)),
+                                blob_radius=3.2, plateau_fraction=0.15,
+                                condition=ConditionSpec((25.0, 75.0, 125.0, 180.0, 225.0, 275.0),
+                                                        (4.0,) * 6)),
+            SyntheticSourceSpec(TRANSIENT, 93.0, blob_centers=((30, 8),), blob_radius=3.0),
+            SyntheticSourceSpec(TRANSIENT, 90.0, blob_centers=((8, 32),), blob_radius=3.5),
+            SyntheticSourceSpec(TRANSIENT, 88.0, blob_centers=((28, 28),), blob_radius=4.0),
+            SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 1.0),
+            SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 1.0),
+            SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 70.0),
+        ),
+    ),
+    # Full-scale: 15 brain-like sources and 5 artifacts with the reference
+    # per-source sparsities. Blob layouts are illustrative; the sparsity
+    # percentages are the reproducible targets. Sources 1, 11 and 14 are the
+    # task sources, with 11 and 14 strongly overlapping.
+    "full": Recipe(
+        grid=(100, 100),
+        n_times=300,
+        tr=2.0,
+        snr_db=0.0,
+        specs=(
+            _brain_spec(95.28, ((82, 30), (82, 70)), 7.0, TASK,
+                        ConditionSpec((20.0, 140.0, 260.0, 380.0, 500.0), (40.0,) * 5)),
+            _brain_spec(95.33, ((12, 50),), 9.0),
+            _brain_spec(95.53, ((30, 50),), 9.0),
+            _brain_spec(88.25, ((20, 20), (20, 80), (45, 50)), 12.0),
+            _brain_spec(93.30, ((55, 42), (55, 58)), 9.0),
+            _brain_spec(97.04, ((60, 30), (60, 70)), 6.5),
+            _brain_spec(88.07, ((8, 35), (8, 65)), 13.0),
+            _brain_spec(91.82, ((35, 15), (35, 85)), 10.0),
+            _brain_spec(85.51, ((25, 65), (40, 75)), 14.0),
+            _brain_spec(92.67, ((50, 45), (50, 55)), 10.0),
+            _brain_spec(91.60, ((45, 20), (52, 28)), 11.0, TASK,
+                        ConditionSpec((10.0, 70.0, 130.0, 190.0, 250.0,
+                                       310.0, 370.0, 430.0, 490.0, 550.0), (8.0,) * 10)),
+            _brain_spec(91.53, ((45, 80), (52, 72)), 11.0),
+            _brain_spec(94.51, ((68, 62),), 9.0),
+            _brain_spec(94.57, ((49, 24), (56, 32)), 9.0, TASK,
+                        ConditionSpec((40.0, 100.0, 160.0, 220.0, 280.0,
+                                       340.0, 400.0, 460.0, 520.0, 580.0), (8.0,) * 10)),
+            _brain_spec(71.95, ((75, 25), (75, 75), (90, 50)), 20.0),
+            SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 1.00),
+            SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 1.00),
+            SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 1.99),
+            SyntheticSourceSpec(ARTIFACT_SUBGAUSSIAN, 86.14),
+            SyntheticSourceSpec(ARTIFACT_SUPERGAUSSIAN, 71.84),
+        ),
+    ),
+}
+# The recipe of a config that names none.
+DEFAULT_RECIPE = "mini"
+# Each recipe's dataset, under the names the test suites call.
+mini_benchmark = RECIPES["mini"].generate
+full_benchmark = RECIPES["full"].generate

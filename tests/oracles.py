@@ -8,12 +8,21 @@ sources. The ICA reference alone reuses the package's whitening, because it
 checks the fixed-point loop's stops, not its arithmetic; the noise
 calibration's reference reuses its stop constants, because it checks the
 blocked passes, not the secant search. The response reference takes its
-densities from ``scipy.stats``, which the package does not import.
+densities from ``scipy.stats``, which the package does not import. The
+task-course references reuse the boxcar and the convolution, because they
+check how courses are stacked and distances summed, condition by condition.
 """
 
 import numpy as np
 from scipy.stats import gamma as gamma_dist
 
+from iadl.hrf import (
+    build_regressor,
+    canonical_hrf,
+    default_alternate_hrf,
+    hrf_curve,
+    task_time_course,
+)
 from iadl.initializer import _sym_decorrelate, _whiten
 from iadl.synthgen import _MAX_POWER_EVALS, _SIGMA_STEP_RTOL
 
@@ -395,3 +404,27 @@ def scipy_two_gamma_curve(params, dt):
     if top == 0.0:
         raise ValueError("response is identically zero on the sampled kernel")
     return h / top
+
+
+def looped_task_courses(conditions, n_times, tr, h):
+    """``hrf.task_courses`` as a loop: one boxcar and one convolution per
+    condition, stacked as columns; (n_times, 0) for no conditions."""
+    cols = []
+    for cond in conditions:
+        u = build_regressor(cond, n_times, tr)
+        cols.append(task_time_course(u, h))
+    return np.column_stack(cols) if cols else np.zeros((n_times, 0))
+
+
+def looped_c_delta(conditions, n_times, tr):
+    """``hrf.estimate_c_delta`` as a loop: each condition's canonical and
+    alternate courses built and compared alone, the mean of the distances."""
+    h_ref = canonical_hrf(tr)
+    h_alt = hrf_curve(default_alternate_hrf(), tr)
+    distances = []
+    for cond in conditions:
+        u = build_regressor(cond, n_times, tr)
+        d_ref = task_time_course(u, h_ref)
+        d_alt = task_time_course(u, h_alt)
+        distances.append(float(np.sum((d_ref - d_alt) ** 2)))
+    return float(np.mean(distances))

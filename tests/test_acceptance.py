@@ -27,13 +27,7 @@ from iadl.io import load_matrix, save_matrix, MatrixFileError
 from iadl.projections import compute_weights
 from iadl.projections import project_weighted_l1_matrix_ball as project_weighted_l1_ball
 from iadl.solver import SolverConfig, run_iadl
-from iadl.synthgen import (
-    MINI_CONDITIONS,
-    MINI_N_TIMES,
-    MINI_TR,
-    full_benchmark,
-    mini_benchmark,
-)
+from iadl.synthgen import RECIPES, full_benchmark, mini_benchmark
 from iadl.types import (
     CoefficientMatrix,
     ConstraintSpec,
@@ -54,6 +48,8 @@ from oracles import (
 )
 
 N_VOXELS_MINI = 1600
+MINI = RECIPES["mini"]
+MINI_CONDITIONS, MINI_N_TIMES, MINI_TR = MINI.conditions, MINI.n_times, MINI.tr
 FULL_TARGET_THETAS = [
     95.28, 95.33, 95.53, 88.25, 93.30, 97.04, 88.07, 91.82, 85.51, 92.67,
     91.60, 91.53, 94.51, 94.57, 71.95, 1.00, 1.00, 1.99, 86.14, 71.84,

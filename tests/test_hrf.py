@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
@@ -13,10 +15,12 @@ from iadl.hrf import (
     estimate_c_delta,
     hrf_curve,
     sample_hrf,
+    task_courses,
     task_time_course,
 )
+from iadl.synthgen import RECIPES
 
-from oracles import scipy_two_gamma_curve
+from oracles import looped_c_delta, looped_task_courses, scipy_two_gamma_curve
 
 
 def test_no_undershoot_curve_nonnegative():
@@ -194,3 +198,44 @@ def test_c_delta_single_impulse_identity():
 def test_c_delta_rejects_empty_conditions():
     with pytest.raises(ValueError):
         estimate_c_delta([], 10, 2.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+_CONDITION_SETS = {
+    **{f"{name}_recipe": (r.conditions, r.n_times, r.tr) for name, r in RECIPES.items()},
+    "one_condition": (RECIPES["full"].conditions[:1], 300, 2.0),
+    "blocks_past_the_scan_end": (RECIPES["mini"].conditions, 60, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONDITION_SETS))
+@pytest.mark.parametrize("alternate", [False, True], ids=["canonical", "alternate"])
+def test_task_courses_equal_the_per_condition_loop_bit_for_bit(case, alternate):
+    conditions, n_times, tr = _CONDITION_SETS[case]
+    h = hrf_curve(default_alternate_hrf(), tr) if alternate else canonical_hrf(tr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blocks past the scan end
+        got = task_courses(conditions, n_times, tr, h)
+        want = looped_task_courses(conditions, n_times, tr, h)
+    assert got.shape == (n_times, len(conditions)) and got.flags.c_contiguous
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_task_courses_of_no_conditions_have_no_columns():
+    got = task_courses([], 40, 2.0, canonical_hrf(2.0))
+    assert got.shape == (40, 0)
+    assert got.shape == looped_task_courses([], 40, 2.0, canonical_hrf(2.0)).shape
+
+
+@pytest.mark.parametrize("case", sorted(_CONDITION_SETS))
+def test_c_delta_equals_the_per_condition_loop_bit_for_bit(case):
+    conditions, n_times, tr = _CONDITION_SETS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = estimate_c_delta(conditions, n_times, tr)
+        want = looped_c_delta(conditions, n_times, tr)
+    assert got > 0.0
+    assert _bits([got]) == _bits([want])

@@ -28,6 +28,7 @@ from iadl.io import (
     verify_manifest,
     write_manifest,
 )
+from iadl.synthgen import RECIPES
 from iadl.types import ConstraintSpec, DataMatrix, TaskTimeCourses
 
 MINI_CONFIG = """
@@ -335,6 +336,64 @@ def test_config_rejects_unknown_recipe(tmp_path, capsys):
     with pytest.raises(ValueError, match=re.escape(message)):
         load_config(path)
     _assert_commands_refuse(path, "'dataset.recipe'", capsys)
+
+
+def test_config_rejects_a_recipe_that_is_not_a_name(tmp_path):
+    # a YAML list is not a key of the recipe table
+    path = tmp_path / "bad.yaml"
+    path.write_text("k: 3\nsparsity:\n  theta: [95, 95, 95]\ndataset:\n  recipe: [mini]\n")
+    message = f"{path}: config key 'dataset.recipe' must be 'mini' or 'full', got ['mini']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
+
+
+def _recipe_config(tmp_path, name):
+    """``MINI_CONFIG`` with the recipe ``name`` and a theta per condition."""
+    recipe = RECIPES[name]
+    thetas = ", ".join("95" for _ in recipe.conditions)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(MINI_CONFIG.replace("recipe: mini", f"recipe: {name}")
+                    .replace("k: 8", f"k: {len(recipe.specs)}")
+                    .replace("theta: [95, 94]", f"theta: [{thetas}]"))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_config_reads_the_recipe_record(tmp_path, name):
+    recipe = RECIPES[name]
+    config = load_config(_recipe_config(tmp_path, name))
+    assert config.dataset.recipe == name
+    assert config.dataset.n_times == recipe.n_times
+    assert config.dataset.tr == recipe.tr
+    assert config.dataset.conditions == recipe.conditions
+    assert config.resolved_conditions() == recipe.conditions
+
+
+def test_config_without_a_recipe_reads_the_default_record(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("k: 8\nsparsity:\n  theta: [95, 94]\n")
+    config = load_config(path)
+    assert config.dataset.recipe == "mini"
+    assert config.dataset.conditions == RECIPES["mini"].conditions
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_cli_simulate_writes_the_recipe_record(tmp_path, name):
+    recipe = RECIPES[name]
+    data = tmp_path / "data"
+    config = _recipe_config(tmp_path, name)
+    assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    meta = json.loads((data / "meta.json").read_text())
+    assert meta["recipe"] == name
+    assert meta["grid"] == list(recipe.grid)
+    assert meta["tr"] == recipe.tr
+    n_voxels = recipe.grid[0] * recipe.grid[1]
+    assert load_matrix(data / "x.iadl").shape == (recipe.n_times, n_voxels)
+    courses = load_matrix(data / "task_courses.iadl")
+    assert courses.shape == (recipe.n_times, len(recipe.conditions))
+    assert meta["assisted_indices"] == [
+        j for j, spec in enumerate(recipe.specs) if spec.condition is not None
+    ]
 
 
 def test_config_short_theta_list_counts_the_assisted_conditions(tmp_path):

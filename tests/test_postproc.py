@@ -85,3 +85,16 @@ def test_concat_rejects_mismatches(rng):
     d_bad = TaskTimeCourses(rng.standard_normal((8, 3)))
     with pytest.raises(ValueError):
         concat_group([x1, x1], [d1, d_bad])
+
+
+def test_concat_rejects_differing_repetition_times(rng):
+    x1 = DataMatrix(rng.standard_normal((8, 10)), tr=2.0)
+    x2 = DataMatrix(rng.standard_normal((6, 10)), tr=2.5)
+    d1 = TaskTimeCourses(rng.standard_normal((8, 2)))
+    d2 = TaskTimeCourses(rng.standard_normal((6, 2)))
+    with pytest.raises(ValueError, match="repetition times differ across subjects: 2.0 and 2.5"):
+        concat_group([x1, x2], [d1, d2])
+    with pytest.raises(ValueError, match="2.0 and None"):
+        concat_group([x1, DataMatrix(x2.values)], [d1, d2])
+    gx, _ = concat_group([x1, DataMatrix(x1.values, tr=2.0)], [d1, d1])
+    assert gx.tr == 2.0

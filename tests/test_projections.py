@@ -535,3 +535,47 @@ def test_ball_projections_nonexpansive(rng):
         px = project_similarity_ball(x, delta, 0.8)
         py = project_similarity_ball(y, delta, 0.8)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
+
+
+def test_violating_block_is_projected_with_fewer_temporaries(rng, traced_peak):
+    # a solver-like block at the north star's K = 20 and N = 10 000, every
+    # row over its budget, is projected in place of a copy: the output
+    # equals the dense pass's bit for bit, and the traced peak stays under
+    # six blocks (the row copies and the scatter took it past eight)
+    k, n = 20, 10_000
+    prev = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.15)
+    v = prev + 0.05 * rng.standard_normal((k, n))
+    w = compute_weights(prev, 1e-6)
+    phi = n * (1.0 - rng.uniform(70.0, 99.0, k) / 100.0)
+    assert np.all(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
+    out, peak = traced_peak(lambda: project_weighted_l1_rows(v, w, phi))
+    np.testing.assert_array_equal(out.view(np.int64), dense_project_rows(v, w, phi).view(np.int64))
+    assert peak <= 6 * v.nbytes
+
+
+def test_barely_violating_rows_with_zeros_equal_the_dense_projection(rng):
+    # a row over its radius by less than its sums' rounding can get a
+    # threshold below zero from the scan; a zero entry then has a positive
+    # part, and sign(v) * part keeps it at zero where copying v's sign would
+    # not. Rows of wide magnitudes, half zeros, radius just under the
+    # weighted norm.
+    for _ in range(1000):
+        n = int(rng.integers(2, 300))
+        v = rng.standard_normal((1, n)) * 10.0 ** rng.integers(-8, 8, size=(1, n))
+        v[rng.random((1, n)) < 0.5] = 0.0
+        w = 10.0 ** rng.uniform(-3, 3, size=(1, n))
+        norm = np.einsum("ij,ij->i", w, np.abs(v))
+        phi = np.nextafter(norm, 0.0) * (1.0 - rng.integers(0, 50) * 1e-16)
+        if norm[0] > phi[0]:
+            np.testing.assert_array_equal(
+                project_weighted_l1_rows(v, w, phi).view(np.int64),
+                dense_project_rows(v, w, phi).view(np.int64),
+            )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_weights_must_be_positive_and_finite(bad):
+    w = np.ones((2, 3))
+    w[1, 2] = bad
+    with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
+        project_weighted_l1_rows(np.ones((2, 3)), w, [1.0, 1.0])

@@ -15,7 +15,7 @@ from iadl.synthgen import (
     ARTIFACT_KINDS,
     ARTIFACT_SUBGAUSSIAN,
     ARTIFACT_SUPERGAUSSIAN,
-    MINI_SPECS,
+    RECIPES,
     SyntheticSourceSpec,
     artifact_values,
     assemble_dataset,
@@ -27,6 +27,8 @@ from iadl.synthgen import (
 from iadl.hrf import ConditionSpec, canonical_params
 
 from oracles import dense_rician_noise, sparsity_percentage
+
+MINI_SPECS = RECIPES["mini"].specs
 
 FULL_TARGET_THETAS = [
     95.28, 95.33, 95.53, 88.25, 93.30, 97.04, 88.07, 91.82, 85.51, 92.67,
