@@ -29,7 +29,7 @@ from .projections import (
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
 )
-from .solver import _coefficient_step, _dictionary_step
+from .solver import _atom_balls, _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -72,11 +72,17 @@ def _whiten(xv, k):
     fixed so that its largest-magnitude entry is positive (the first such
     index on ties), so the result does not depend on the LAPACK driver's
     choice of sign. Eigenvalues are floored at 1e-12 of the largest.
+
+    Beside the centred copy, one T x T array is held: the covariance is
+    scaled in place and eigensolved in place. NumPy forms ``xc @ xc.T``
+    exactly symmetric, so its transpose, a Fortran-ordered view, hands
+    LAPACK the same lower triangle with no copy.
     """
     t, n = xv.shape
     xc = xv - xv.mean(axis=1, keepdims=True)
-    cov = (xc @ xc.T) / n
-    evals, evecs = scipy.linalg.eigh(cov, subset_by_index=[t - k, t - 1])
+    cov = xc @ xc.T
+    cov /= n
+    evals, evecs = scipy.linalg.eigh(cov.T, overwrite_a=True, subset_by_index=[t - k, t - 1])
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
@@ -173,12 +179,13 @@ def refine_full_sparsity(
     xv = x.values
     dv = dbar.values.copy()
     sv = sbar.values.copy()
+    balls = _atom_balls(delta.values, dv.shape[1], spec)
     for _ in range(cfg.refine_iters):
         sv, _ = _coefficient_step(
             xv, dv, sv, spec.epsilon,
             lambda a, w: project_weighted_l1_matrix_ball(a, w, phi_total),
         )
-        dv = _dictionary_step(xv, sv, dv, delta.values, spec)[0]
+        dv = _dictionary_step(xv, sv, dv, balls)[0]
     return Dictionary(dv, assisted_count=delta.n_courses), CoefficientMatrix(sv)
 
 

@@ -38,9 +38,10 @@ def _project_block(v, w, phi):
     breakpoint scan over the survivors finds it exactly, at any spread of
     the weights. Only the survivors are sorted and thresholded; the dropped
     entries lie below the threshold and stay at +0.0."""
-    mags = np.abs(v)
-    ratios = mags / w
-    wm = w * mags
+    # the breakpoints |v| / w are divided in place from the magnitudes
+    ratios = np.abs(v)
+    wm = w * ratios
+    ratios /= w
     w2 = w * w
 
     # Each pass solves sum_A w (|v| - gamma w) = phi over the active set A.
@@ -59,30 +60,40 @@ def _project_block(v, w, phi):
     out = np.zeros(v.shape)
     for i, survivors in enumerate(keep):
         idx = np.flatnonzero(survivors)
-        # NumPy's default sort may order tied breakpoints unlike a stable
-        # sort, which moves the threshold by rounding; a row with ties is
-        # re-sorted stably, so every row sums in the stable scan's order.
-        order = idx[np.argsort(ratios[i, idx])]
-        r = ratios[i, order]
-        if np.count_nonzero(r[1:] == r[:-1]):
-            order = idx[np.argsort(ratios[i, idx], kind="stable")]
-            r = ratios[i, order]
-        # Suffix sums over the sorted breakpoints; summing from the small
-        # end keeps each suffix accurate relative to its own magnitude.
-        # Dropped entries precede every survivor in the full sorted order,
-        # so these are the full row's suffix sums, bit for bit.
-        suf_a = np.cumsum(wm[i, order][::-1])[::-1]
-        suf_b = np.cumsum(w2[i, order][::-1])[::-1]
-        a_after = np.append(suf_a[1:], 0.0)
-        b_after = np.append(suf_b[1:], 0.0)
-        # g evaluated at each breakpoint; first index where it drops to phi
-        # or below brackets the active interval (the last breakpoint gives
-        # g = 0, so a hit always exists).
-        g = a_after - r * b_after
-        k = np.argmax(g <= phi[i])
-        gamma = (suf_a[k] - phi[i]) / suf_b[k]
+        gamma = _threshold(ratios[i], wm[i], w2[i], idx, phi[i])
         out[i, idx] = _shrink(v[i, idx], w[i, idx], gamma)
     return out
+
+
+def _threshold(ratios, wm, w2, idx, phi):
+    """The exact threshold of one row from the breakpoints ``ratios`` at its
+    survivors ``idx``, with ``wm = w |v|`` and ``w2 = w^2``. Its sorted
+    order, breakpoints and sums are freed on return, before the row is
+    thresholded, and the order as soon as the sums are formed."""
+    # NumPy's default sort may order tied breakpoints unlike a stable
+    # sort, which moves the threshold by rounding; a row with ties is
+    # re-sorted stably, so every row sums in the stable scan's order.
+    order = idx[np.argsort(ratios[idx])]
+    r = ratios[order]
+    if np.count_nonzero(r[1:] == r[:-1]):
+        order = idx[np.argsort(ratios[idx], kind="stable")]
+        r = ratios[order]
+    # Suffix sums over the sorted breakpoints; summing from the small
+    # end keeps each suffix accurate relative to its own magnitude.
+    # Dropped entries precede every survivor in the full sorted order,
+    # so these are the full row's suffix sums, bit for bit.
+    suf_a = np.cumsum(wm[order][::-1])[::-1]
+    suf_b = np.cumsum(w2[order][::-1])[::-1]
+    del order
+    # g at each breakpoint, the sums over the entries after it less its
+    # ratio times theirs; the first index where g drops to phi or below
+    # brackets the active interval. The last breakpoint gives g = 0, so
+    # it is the hit when no earlier one is.
+    g = r[:-1] * suf_b[1:]
+    np.subtract(suf_a[1:], g, out=g)
+    hit = g <= phi
+    k = int(np.argmax(hit)) if hit.any() else hit.size
+    return (suf_a[k] - phi) / suf_b[k]
 
 
 def _shrink(v, w, gamma):
@@ -99,10 +110,18 @@ def _shrink(v, w, gamma):
 
 
 def _project_rows(v, w, phi):
-    """Row-wise projection on validated inputs: float64 arrays, strictly
-    positive weights, non-negative radii. When every row violates a positive
-    radius, the block is projected as it is, with no copy of its rows."""
-    over = np.einsum("ij,ij->i", w, np.abs(v)) > phi
+    """Row-wise projection of float64 arrays under validated weights, strictly
+    positive, and radii, non-negative. When every row violates a positive
+    radius, the block is projected as it is, with no copy of its rows.
+
+    ``v`` is checked through its rows' weighted norms, which the violation
+    test forms anyway: under finite positive weights a NaN or an infinite
+    entry makes its row's norm non-finite, and only then is ``v`` itself
+    scanned, since a finite row can also overflow its norm."""
+    norms = np.einsum("ij,ij->i", w, np.abs(v))
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite: it holds a NaN or an infinite entry")
+    over = norms > phi
     todo = np.flatnonzero(over & (phi > 0.0))
     if todo.size == v.shape[0]:
         return _project_violating(v, w, phi)
@@ -124,6 +143,8 @@ def _project_violating(v, w, phi):
     # (survivors too small to shift) is then scaled back onto its sphere.
     norms = np.einsum("ij,ij->i", w, np.abs(block))
     over = np.flatnonzero(norms > phi)
+    if over.size == 0:
+        return block
     rows, wo, po = block[over], w[over], phi[over]
     lift = (norms[over] - po) / np.einsum("ij,ij->i", wo * wo, rows != 0.0)
     rows = _shrink(rows, wo, lift[:, None])
@@ -142,6 +163,7 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     entries whose breakpoint ``|v| / w`` lies at or under that bound; a
     sorted scan of the surviving breakpoints then gives the exact threshold,
     and only the survivors are thresholded (about a fifth of a solver row).
+    A NaN or an infinite entry of ``v`` is refused.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)

@@ -99,17 +99,25 @@ def _coefficient_step(xv, dv, sv, epsilon: float, project, anchor=None):
     return _block_step(dv.T @ xv, dv.T @ dv, anchor, lambda a: project(a, weights)), weights
 
 
-def _dictionary_step(xv, sv, dv, deltav, spec: ConstraintSpec):
-    """The block step of D^T against S^T, every atom projected onto its ball.
+def _atom_balls(deltav, k: int, spec: ConstraintSpec):
+    """The ``k`` atoms' balls as the pair (centres, radii), one row each: the
+    task courses with radius c_delta, then zero centres with radius c_d."""
+    t, m = deltav.shape
+    centres = np.vstack([deltav.T, np.zeros((k - m, t))])
+    radii = np.repeat([spec.c_delta, spec.c_d], [m, k - m])
+    return centres, radii
+
+
+def _dictionary_step(xv, sv, dv, balls):
+    """The block step of D^T against S^T, every atom projected onto its ball
+    from ``_atom_balls``.
 
     Returns the new dictionary, its worst ball violation, and the products
     X S^T and S S^T it was built from, which give the loss at (D_new, S).
     """
-    k, m = sv.shape[0], deltav.shape[1]
+    centres, radii = balls
     xs = xv @ sv.T
     gram = sv @ sv.T
-    centres = np.vstack([deltav.T, np.zeros((k - m, xv.shape[0]))])
-    radii = np.repeat([spec.c_delta, spec.c_d], [m, k - m])
     d_t = _block_step(xs.T, gram, dv.T, lambda b: project_similarity_ball(b, centres, radii))
     excess = np.einsum("ij,ij->i", d_t - centres, d_t - centres) - radii
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
@@ -122,16 +130,17 @@ def _extrapolation(t: float):
     return (t - 1.0) / t_next, t_next
 
 
-def _iteration(xv, x_sq: float, dv, sv, anchor, deltav, spec: ConstraintSpec):
+def _iteration(xv, x_sq: float, dv, sv, anchor, balls, spec: ConstraintSpec):
     """One full iteration from (D, S): the coefficient step from ``anchor``
-    onto the row balls that S's weights define, then the dictionary step.
-    Returns the new S and D, their loss and the worst ball violation."""
+    onto the row balls that S's weights define, then the dictionary step onto
+    the atoms' ``balls``. Returns the new S and D, their loss and the worst
+    ball violation."""
     s_new, weights = _coefficient_step(
         xv, dv, sv, spec.epsilon, lambda a, w: project_weighted_l1_rows(a, w, spec.phi), anchor
     )
     wl1 = np.einsum("ij,ij->i", weights, np.abs(s_new))
     viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
-    d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, deltav, spec)
+    d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, balls)
     return s_new, d_new, _loss(xv, x_sq, d_new, s_new, xs, gram), max(viol_s, viol_d)
 
 
@@ -206,7 +215,7 @@ def run_iadl(
     xv = x.values
     dv = d0.values.copy()
     sv = s0.values.copy()
-    deltav = delta.values
+    balls = _atom_balls(delta.values, dv.shape[1], spec)
     m = delta.n_courses
 
     objective = []
@@ -219,13 +228,13 @@ def run_iadl(
     for _ in range(cfg.max_iters):
         beta, t_next = _extrapolation(t)
         anchor = sv + beta * (sv - s_prev) if beta > 0.0 else sv
-        s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, deltav, spec)
+        s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, balls, spec)
         if beta > 0.0 and (obj > prev_obj or np.vdot(anchor - s_new, s_new - sv) > 0.0):
             # the extrapolated step raised the objective, or its gradient
             # mapping points against the momentum: take the plain step
             # instead, as the first of a sequence restarted at t = 1
             beta, t_next = _extrapolation(1.0)
-            s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, sv, deltav, spec)
+            s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, sv, balls, spec)
         s_prev, sv, dv, t = sv, s_new, d_new, t_next
         objective.append(obj)
         violations.append(viol)

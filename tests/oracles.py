@@ -11,9 +11,13 @@ blocked passes, not the secant search. The response reference takes its
 densities from ``scipy.stats``, which the package does not import. The
 task-course references reuse the boxcar and the convolution, because they
 check how courses are stacked and distances summed, condition by condition.
+The copying whitening and the appending breakpoint scan are the package's
+earlier forms, kept as bit-exact references for the forms that hold each
+array once; they reuse the filter's pass count and the soft threshold.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import gamma as gamma_dist
 
 from iadl.hrf import (
@@ -24,6 +28,7 @@ from iadl.hrf import (
     task_time_course,
 )
 from iadl.initializer import _sym_decorrelate, _whiten
+from iadl.projections import _MICHELOT_PASSES, _shrink
 from iadl.synthgen import _MAX_POWER_EVALS, _SIGMA_STEP_RTOL
 
 
@@ -93,6 +98,42 @@ def unfiltered_breakpoint_scan(v, w, phi):
     return np.where(part > 0.0, np.sign(v) * part, 0.0)
 
 
+def appending_breakpoint_scan(v, w, phi):
+    """The filtered row scan with each row's suffix sums copied out with a
+    trailing zero (``np.append``) to evaluate g at every breakpoint, and the
+    sorted order, breakpoints and g held until the row is thresholded: the
+    bit-exact reference for the scan that reads g from slices. Rows must
+    violate their radius and phi > 0."""
+    mags = np.abs(v)
+    ratios = mags / w
+    wm = w * mags
+    w2 = w * w
+    slack = 4.0 * v.shape[1] * np.finfo(np.float64).eps
+    keep = np.ones(v.shape)
+    for _ in range(_MICHELOT_PASSES):
+        suma = np.einsum("ij,ij->i", wm, keep)
+        sumb = np.einsum("ij,ij->i", w2, keep)
+        bound = (suma * (1.0 - slack) - phi) / (sumb * (1.0 + slack))
+        keep = ratios > bound[:, None]
+    out = np.zeros(v.shape)
+    for i, survivors in enumerate(keep):
+        idx = np.flatnonzero(survivors)
+        order = idx[np.argsort(ratios[i, idx])]
+        r = ratios[i, order]
+        if np.count_nonzero(r[1:] == r[:-1]):
+            order = idx[np.argsort(ratios[i, idx], kind="stable")]
+            r = ratios[i, order]
+        suf_a = np.cumsum(wm[i, order][::-1])[::-1]
+        suf_b = np.cumsum(w2[i, order][::-1])[::-1]
+        a_after = np.append(suf_a[1:], 0.0)
+        b_after = np.append(suf_b[1:], 0.0)
+        g = a_after - r * b_after
+        k = np.argmax(g <= phi[i])
+        gamma = (suf_a[k] - phi[i]) / suf_b[k]
+        out[i, idx] = _shrink(v[i, idx], w[i, idx], gamma)
+    return out
+
+
 def dense_project_rows(v, w, phi):
     """Row projection thresholded over every entry, the bit-exact reference
     for the survivor-only one: each violating row with a positive radius
@@ -134,6 +175,22 @@ def dense_whitening(x, k):
     for j in range(k):
         if evecs[np.argmax(np.abs(evecs[:, j])), j] < 0:
             evecs[:, j] *= -1.0
+    return evals, evecs, (evecs / np.sqrt(evals)).T @ xc
+
+
+def copying_whitening(x, k):
+    """The top-k whitening with the covariance divided into a new array and
+    handed C-ordered to SciPy, which copies it for LAPACK: the bit-exact
+    reference for the whitening that scales and solves it in place."""
+    t, n = x.shape
+    xc = x - x.mean(axis=1, keepdims=True)
+    cov = (xc @ xc.T) / n
+    evals, evecs = scipy.linalg.eigh(cov, subset_by_index=[t - k, t - 1])
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(k)]
+    evecs = evecs * np.where(pivots < 0.0, -1.0, 1.0)
+    evals = np.maximum(evals, 1e-12 * max(evals[0], 1e-300))
     return evals, evecs, (evecs / np.sqrt(evals)).T @ xc
 
 

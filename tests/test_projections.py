@@ -14,6 +14,7 @@ from iadl.projections import (
 from iadl.projections import project_weighted_l1_matrix_ball as project_weighted_l1_ball
 
 from oracles import (
+    appending_breakpoint_scan,
     dense_project_rows,
     oracle_gamma_bisection,
     oracle_project,
@@ -336,12 +337,18 @@ def test_projection_matches_oracle_on_adversarial_rows(case):
         assert_row_matches_oracle(v[i], w[i], phi[i], out[i])
 
     # the filter drops only entries that precede every survivor in the
-    # sorted breakpoints, so the scan's threshold is unchanged bit for bit
+    # sorted breakpoints, so the scan's threshold is unchanged bit for bit;
+    # so does reading g from slices of the suffix sums, with the last
+    # breakpoint as the fallback hit, in place of appended copies
     wl1 = np.einsum("ij,ij->i", w, np.abs(v))
     scanned = (wl1 > phi) & (phi > 0)
+    got = projections._project_block(v[scanned], w[scanned], phi[scanned])
     np.testing.assert_array_equal(
-        projections._project_block(v[scanned], w[scanned], phi[scanned]),
-        unfiltered_breakpoint_scan(v[scanned], w[scanned], phi[scanned]),
+        got, unfiltered_breakpoint_scan(v[scanned], w[scanned], phi[scanned])
+    )
+    np.testing.assert_array_equal(
+        got.view(np.int64),
+        appending_breakpoint_scan(v[scanned], w[scanned], phi[scanned]).view(np.int64),
     )
 
 
@@ -356,8 +363,10 @@ def test_filtered_scan_is_bit_identical_on_solver_like_rows(rng):
         w = compute_weights(prev, 1e-6)
         phi = n * (1.0 - rng.uniform(70.0, 99.0, k) / 100.0)
         assert np.all(np.einsum("ij,ij->i", w, np.abs(v)) > phi)
+        got = projections._project_block(v, w, phi)
+        np.testing.assert_array_equal(got, unfiltered_breakpoint_scan(v, w, phi))
         np.testing.assert_array_equal(
-            projections._project_block(v, w, phi), unfiltered_breakpoint_scan(v, w, phi)
+            got.view(np.int64), appending_breakpoint_scan(v, w, phi).view(np.int64)
         )
 
 
@@ -579,3 +588,45 @@ def test_weights_must_be_positive_and_finite(bad):
     w[1, 2] = bad
     with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
         project_weighted_l1_rows(np.ones((2, 3)), w, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_projected_values_must_be_finite(bad):
+    # unchecked, an infinite entry fails inside the scan with NumPy's empty
+    # argmax, and a NaN row passes through unprojected, since NaN > phi is
+    # false; a zero radius must not hide the NaN either
+    v = np.ones((2, 3))
+    v[1, 0] = bad
+    for phi in ([1.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="v must be finite"):
+            project_weighted_l1_rows(v, np.ones((2, 3)), phi)
+    with pytest.raises(ValueError, match="v must be finite"):
+        project_weighted_l1_matrix_ball(v, np.ones((2, 3)), 1.0)
+
+
+def start_like_block(rng, k=20, n=10_000):
+    """A block as the initializer's first matrix-ball call sees it at the
+    north star's size: dense ICA maps give the weights, a gradient step
+    moves every entry, and the radius is the sum of 95% sparsity budgets.
+    Three Michelot passes leave about 193 000 of its 200 000 entries."""
+    prev = rng.laplace(size=(k, n))
+    v = prev + 0.05 * rng.standard_normal((k, n))
+    return v, compute_weights(prev, 1e-6), 0.05 * n * k
+
+
+def test_matrix_ball_holds_few_survivor_arrays(rng, traced_peak):
+    # on the start-like block nearly every entry survives the filter, so
+    # each survivor-length array the scan holds weighs almost an input. The
+    # appending scan, holding its sorted order, breakpoints, suffix sums,
+    # their copies and g into the threshold, peaked at 16.7 inputs; dropping
+    # them once read, and dividing the breakpoints in place, takes it to 9.9
+    v, w, phi = start_like_block(rng)
+    out, peak = traced_peak(lambda: project_weighted_l1_matrix_ball(v, w, phi))
+    assert peak <= 11 * v.nbytes
+    row, row_w, radius = v.reshape(1, -1), w.reshape(1, -1), np.array([phi])
+    ref = dense_project_rows(row, row_w, radius)
+    np.testing.assert_array_equal(out.view(np.int64), ref.reshape(v.shape).view(np.int64))
+    np.testing.assert_array_equal(
+        projections._project_block(row, row_w, radius).view(np.int64),
+        appending_breakpoint_scan(row, row_w, radius).view(np.int64),
+    )

@@ -7,6 +7,7 @@ from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.solver import (
     _EXPANDED_LOSS_FLOOR,
     SolverConfig,
+    _atom_balls,
     _coefficient_step,
     _dictionary_step,
     _extrapolation,
@@ -66,7 +67,8 @@ def coefficient_update(x, d, s, spec):
 
 def dictionary_update(x, s, d, delta, spec):
     """One majorized dictionary step with its column projections."""
-    out = _dictionary_step(x.values, s.values, d.values, delta.values, spec)[0]
+    balls = _atom_balls(delta.values, d.n_atoms, spec)
+    out = _dictionary_step(x.values, s.values, d.values, balls)[0]
     return Dictionary(out, assisted_count=delta.n_courses)
 
 
@@ -192,7 +194,7 @@ def test_dictionary_step_matches_per_atom_reference(
     d0 = oracle_ball_columns(3.0 * rng.standard_normal((t, k)), delta, c_delta, c_d)
     spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=c_delta, c_d=c_d)
 
-    d_new, violation, _, _ = _dictionary_step(x, s, d0, delta, spec)
+    d_new, violation, _, _ = _dictionary_step(x, s, d0, _atom_balls(delta, k, spec))
     ref, c = per_atom_dictionary_step(x, s, d0, delta, c_delta, c_d)
     assert d_new.flags.c_contiguous
     np.testing.assert_allclose(d_new, ref, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
@@ -471,9 +473,8 @@ def test_an_extrapolated_step_is_redone_as_the_plain_step(case, iteration, rises
     prev, cur = solve(j - 1).coefficients.values, solve(j)
     sv = cur.coefficients.values
     anchor = sv + beta_j * (sv - prev)
-    skipped, _, loss, _ = _iteration(
-        x.values, x_sq, cur.dictionary.values, sv, anchor, delta.values, spec
-    )
+    balls = _atom_balls(delta.values, sv.shape[0], spec)
+    skipped, _, loss, _ = _iteration(x.values, x_sq, cur.dictionary.values, sv, anchor, balls, spec)
     against = float(np.vdot(anchor - skipped, skipped - sv))
     if rises:
         assert loss > obj[j - 1] and against <= 0.0
@@ -497,7 +498,7 @@ def test_one_iteration_is_the_plain_step(rng):
         x.values, d0.values, s0.values, spec.epsilon,
         lambda a, w: project_weighted_l1_rows(a, w, spec.phi),
     )
-    d1 = _dictionary_step(x.values, s1, d0.values, delta.values, spec)[0]
+    d1 = _dictionary_step(x.values, s1, d0.values, _atom_balls(delta.values, d0.n_atoms, spec))[0]
     np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
     np.testing.assert_array_equal(res.dictionary.values.view(np.int64), d1.view(np.int64))
     np.testing.assert_array_equal(res.trace.momentum, [0.0])
