@@ -208,10 +208,8 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     truth_dir = Path(args.truth)
     fit_dir = Path(args.fit)
-    iadl_io.verify_manifest(truth_dir)
+    truth_checksums = iadl_io.verify_manifest(truth_dir)["checksums"]
     iadl_io.verify_manifest(fit_dir)
-
-    truth_checksums = iadl_io.read_manifest(truth_dir)["checksums"]
     if "x.iadl" not in truth_checksums:
         raise ValueError(f"{truth_dir / 'manifest.json'}: key 'checksums' lists no 'x.iadl'")
     resolved = iadl_io.read_json_object(

@@ -122,7 +122,7 @@ def canonical_hrf(dt: float) -> np.ndarray:
     return hrf_curve(canonical_params(), dt)
 
 
-def sample_hrf(rng: np.random.Generator, spread: float = 0.3) -> TwoGammaParams:
+def sample_hrf(rng: np.random.Generator, spread: float) -> TwoGammaParams:
     """Draw subject parameters uniformly within ``spread`` of the canonical
     values, resampling until the peak precedes the undershoot and neither
     delay is below its dispersion (``TwoGammaParams`` refuses that draw).

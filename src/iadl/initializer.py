@@ -157,8 +157,8 @@ def align_assisted(dbar: Dictionary, sbar: CoefficientMatrix, delta: TaskTimeCou
         matched.append(int(np.argmax(open_abs[i])))
         open_abs[:, matched[-1]] = -1.0
     perm = matched + sorted(set(range(k)) - set(matched))
-    d_new = dv[:, perm].copy()
-    s_new = sbar.values[perm].copy()
+    d_new = dv[:, perm]
+    s_new = sbar.values[perm]
     d_new[:, :m] = delta.values
     s_new[:m] *= np.where(r[np.arange(m), matched] >= 0, 1.0, -1.0)[:, None]
     return Dictionary(d_new, assisted_count=m), CoefficientMatrix(s_new)
@@ -177,8 +177,8 @@ def refine_full_sparsity(
     sum(phi); sparsifies the dense ICA maps before row budgets apply."""
     phi_total = float(np.sum(spec.phi))
     xv = x.values
-    dv = dbar.values.copy()
-    sv = sbar.values.copy()
+    dv = dbar.values
+    sv = sbar.values
     balls = _atom_balls(delta.values, dv.shape[1], spec)
     for _ in range(cfg.refine_iters):
         sv, _ = _coefficient_step(

@@ -27,7 +27,7 @@ import yaml
 from .hrf import ConditionSpec
 from .initializer import InitConfig
 from .solver import SolverConfig
-from .types import phi_from_theta
+from .types import ConstraintSpec, phi_from_theta
 from . import synthgen
 
 MAGIC = b"IADL"
@@ -55,6 +55,9 @@ def save_matrix(values, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix at ``path`` as a read-only view of the bytes read. It may
+    be unaligned, which makes NumPy copy it inside every product, so copy it
+    before BLAS work (every frozen matrix type does)."""
     path = Path(path)
     return _parse_matrix(path.read_bytes(), path)
 
@@ -81,7 +84,6 @@ def _parse_matrix(raw: bytes, path) -> np.ndarray:
     if len(raw) > expected:
         raise MatrixFileError(f"{path}: trailing bytes after payload")
     arr = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(rows, cols)
-    arr = np.ascontiguousarray(arr)
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError(f"{path}: non-finite values")
     return arr
@@ -130,21 +132,27 @@ def read_manifest(directory) -> dict:
     return manifest
 
 
-def verify_manifest(directory) -> None:
-    """Recompute every checksum and fail loudly on drift."""
+def verify_manifest(directory) -> dict:
+    """Recompute every checksum and fail loudly on drift; returns the
+    manifest it verified."""
     manifest = read_manifest(directory)
     for name, recorded in manifest["checksums"].items():
         if not (Path(directory) / name).is_file():
             raise ValueError(f"{directory}/manifest.json: listed file {name!r} is missing")
         if sha256_file(Path(directory) / name) != recorded:
             raise ValueError(f"{name}: checksum mismatch (artifact modified?)")
+    return manifest
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     recipe: str = synthgen.DEFAULT_RECIPE
-    snr_db: float = 0.0
+    snr_db: float | None = None  # the recipe's when None
     hrf_spread: float = 0.3
+
+    def __post_init__(self):
+        if self.snr_db is None:
+            object.__setattr__(self, "snr_db", synthgen.RECIPES[self.recipe].snr_db)
 
     @property
     def n_times(self) -> int:
@@ -166,8 +174,8 @@ class ExperimentConfig:
     seed: int = 0
     conditions: tuple = ()
     c_delta: float | str = "auto"
-    c_d: float = 1.0
-    epsilon: float = 1e-6
+    c_d: float = ConstraintSpec.c_d
+    epsilon: float = ConstraintSpec.epsilon
     solver: SolverConfig = SolverConfig()
     init: InitConfig = InitConfig()
     dataset: DatasetConfig = DatasetConfig()

@@ -93,7 +93,10 @@ def _threshold(ratios, wm, w2, idx, phi):
     np.subtract(suf_a[1:], g, out=g)
     hit = g <= phi
     k = int(np.argmax(hit)) if hit.any() else hit.size
-    return (suf_a[k] - phi) / suf_b[k]
+    # A row over phi only by the rounding of its sums can scan to a negative
+    # threshold, which would grow every entry. Nothing was dropped from it
+    # (its Michelot bound is negative too): at 0 it comes back as it is.
+    return max((suf_a[k] - phi) / suf_b[k], 0.0)
 
 
 def _shrink(v, w, gamma):

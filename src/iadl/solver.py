@@ -206,15 +206,14 @@ def run_iadl(
     ||X||^2 - 2<D, X S^T> + <D^T D, S S^T> from the dictionary step's
     products, with ||X||^2 taken once per solve, and directly as
     ||X - DS||^2 when it falls below a small share of the magnitudes of
-    those terms, where the expansion cancels. The start's objective, which
-    only the first iteration's tolerance test reads, comes the same way from
-    X S_0^T and S_0 S_0^T, so a solve forms no T x N array unless the
-    expansion cancels.
+    those terms, where the expansion cancels. The tolerance test compares
+    the last two recorded objectives, so a fit stops on it at iteration 2 at
+    the earliest.
     """
     _check_shapes(x, d0, s0, spec, delta)
     xv = x.values
-    dv = d0.values.copy()
-    sv = s0.values.copy()
+    dv = d0.values
+    sv = s0.values
     balls = _atom_balls(delta.values, dv.shape[1], spec)
     m = delta.n_courses
 
@@ -222,14 +221,13 @@ def run_iadl(
     violations = []
     momentum = []
     x_sq = float(np.vdot(xv, xv))
-    prev_obj = _loss(xv, x_sq, dv, sv, xv @ sv.T, sv @ sv.T)
     s_prev, t = sv, 1.0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         beta, t_next = _extrapolation(t)
         anchor = sv + beta * (sv - s_prev) if beta > 0.0 else sv
         s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, balls, spec)
-        if beta > 0.0 and (obj > prev_obj or np.vdot(anchor - s_new, s_new - sv) > 0.0):
+        if beta > 0.0 and (obj > objective[-1] or np.vdot(anchor - s_new, s_new - sv) > 0.0):
             # the extrapolated step raised the objective, or its gradient
             # mapping points against the momentum: take the plain step
             # instead, as the first of a sequence restarted at t = 1
@@ -239,10 +237,11 @@ def run_iadl(
         objective.append(obj)
         violations.append(viol)
         momentum.append(beta)
-        if abs(prev_obj - obj) / max(prev_obj, 1e-30) < cfg.rel_obj_tol:
+        if len(objective) > 1 and (
+            abs(objective[-2] - obj) / max(objective[-2], 1e-30) < cfg.rel_obj_tol
+        ):
             stop_reason = "tolerance"
             break
-        prev_obj = obj
 
     trace = SolveTrace(
         objective=np.array(objective),

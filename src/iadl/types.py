@@ -65,10 +65,6 @@ class Dictionary:
         object.__setattr__(self, "values", arr)
 
     @property
-    def n_times(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_atoms(self) -> int:
         return self.values.shape[1]
 
@@ -83,14 +79,6 @@ class CoefficientMatrix:
         object.__setattr__(
             self, "values", _frozen_array(self.values, "coefficient matrix", ndim=2)
         )
-
-    @property
-    def n_sources(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_voxels(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,8 @@ def unfiltered_breakpoint_scan(v, w, phi):
     b_after = np.concatenate([suf_b[:, 1:], zeros], axis=1)
     k = np.argmax(a_after - r_sorted * b_after <= phi[:, None], axis=1)
     rows = np.arange(v.shape[0])
-    gamma = (suf_a[rows, k] - phi) / suf_b[rows, k]
+    # clamped at 0 as the filtered scan is, for rows over phi by rounding
+    gamma = np.maximum((suf_a[rows, k] - phi) / suf_b[rows, k], 0.0)
     part = mags - gamma[:, None] * w
     return np.where(part > 0.0, np.sign(v) * part, 0.0)
 
@@ -129,7 +130,7 @@ def appending_breakpoint_scan(v, w, phi):
         b_after = np.append(suf_b[1:], 0.0)
         g = a_after - r * b_after
         k = np.argmax(g <= phi[i])
-        gamma = (suf_a[k] - phi[i]) / suf_b[k]
+        gamma = max((suf_a[k] - phi[i]) / suf_b[k], 0.0)
         out[i, idx] = _shrink(v[i, idx], w[i, idx], gamma)
     return out
 

@@ -123,8 +123,8 @@ def test_sample_hrf_draws_valid_families():
 
 
 def test_sample_hrf_seeded_reproducible():
-    a = sample_hrf(np.random.default_rng(7))
-    b = sample_hrf(np.random.default_rng(7))
+    a = sample_hrf(np.random.default_rng(7), 0.3)
+    b = sample_hrf(np.random.default_rng(7), 0.3)
     assert a == b
 
 

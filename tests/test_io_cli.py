@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -378,6 +381,22 @@ def test_config_without_a_recipe_reads_the_default_record(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
+def test_config_without_an_snr_takes_the_recipes(tmp_path, name):
+    path = _recipe_config(tmp_path, name)
+    path.write_text(path.read_text().replace("  snr_db: 0.0\n", ""))
+    assert load_config(path).dataset.snr_db == RECIPES[name].snr_db
+
+
+def test_cli_simulate_records_the_recipes_snr(tmp_path):
+    # the mini recipe's 10 dB, not 0 dB, when the config names no SNR
+    config = tmp_path / "c.yaml"
+    config.write_text(MINI_CONFIG.replace("  snr_db: 0.0\n", ""))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    assert json.loads((data / "meta.json").read_text())["snr_db"] == 10.0 == RECIPES["mini"].snr_db
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
 def test_cli_simulate_writes_the_recipe_record(tmp_path, name):
     recipe = RECIPES[name]
     data = tmp_path / "data"
@@ -691,6 +710,44 @@ def test_cli_simulates_a_wide_response_spread(tmp_path):
     hrf = json.loads((data / "meta.json").read_text())["subject_hrf"]
     assert hrf["peak_delay"] >= hrf["peak_dispersion"]
     assert hrf["undershoot_delay"] >= hrf["undershoot_dispersion"]
+
+
+_PIPELINE = """
+import sys
+from iadl.cli import main
+config, out = sys.argv[1], sys.argv[2]
+for argv in (["simulate", "--config", config, "--out", out + "/data"],
+             ["fit", "--config", config, "--data", out + "/data", "--out", out + "/fit"],
+             ["evaluate", "--truth", out + "/data", "--fit", out + "/fit",
+              "--out", out + "/metrics.json"]):
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+def test_shipped_config_across_blas_thread_counts(tmp_path):
+    # the same seed, BLAS build and thread count give the same bits; across
+    # thread counts the simulated data stay bit-equal and the fit agrees to
+    # rounding that its late iterations amplify. The fits need not differ.
+    root = Path(__file__).resolve().parents[1]
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(root / "configs" / "mini.yaml"),
+                        str(out)], env=env, check=True, capture_output=True)
+        results.append((
+            (out / "data" / "x.iadl").read_bytes(),
+            json.loads((out / "fit" / "resolved.json").read_text())["final_objective"],
+            json.loads((out / "metrics.json").read_text())["full_source"]["summaries"],
+        ))
+    (x1, obj1, summary1), (x2, obj2, summary2) = results
+    assert x1 == x2
+    assert abs(obj1 - obj2) <= 1e-3 * obj1
+    assert summary1.keys() == summary2.keys()
+    for key in summary1:
+        assert abs(summary1[key] - summary2[key]) <= 1e-3
 
 
 def test_cli_simulate_deterministic(tmp_path, mini_config_path):

@@ -563,11 +563,10 @@ def test_violating_block_is_projected_with_fewer_temporaries(rng, traced_peak):
 
 
 def test_barely_violating_rows_with_zeros_equal_the_dense_projection(rng):
-    # a row over its radius by less than its sums' rounding can get a
-    # threshold below zero from the scan; a zero entry then has a positive
-    # part, and sign(v) * part keeps it at zero where copying v's sign would
-    # not. Rows of wide magnitudes, half zeros, radius just under the
-    # weighted norm.
+    # a row over its radius by less than its sums' rounding can scan to a
+    # threshold at or below zero; the scan clamps it at zero, as the dense
+    # reference does. Rows of wide magnitudes, half zeros, radius just under
+    # the weighted norm.
     for _ in range(1000):
         n = int(rng.integers(2, 300))
         v = rng.standard_normal((1, n)) * 10.0 ** rng.integers(-8, 8, size=(1, n))
@@ -580,6 +579,32 @@ def test_barely_violating_rows_with_zeros_equal_the_dense_projection(rng):
                 project_weighted_l1_rows(v, w, phi).view(np.int64),
                 dense_project_rows(v, w, phi).view(np.int64),
             )
+
+
+def test_rows_over_their_radius_by_rounding_are_never_grown(rng):
+    # with the radius one ulp under the weighted norm, the scan's cumsum of a
+    # row can land at or below phi where the einsum of the violation test
+    # lies above it. A projection onto a ball about zero never grows an
+    # entry: the scan's threshold is clamped at 0, so it returns such a row
+    # as it is, and the mend only trims it.
+    unchanged = 0
+    for _ in range(4000):
+        n = int(rng.integers(2, 40))
+        v = rng.standard_normal((1, n)) * np.exp(rng.uniform(-5.0, 5.0))
+        v[rng.random((1, n)) < 0.5] = 0.0
+        if not v.any():
+            continue
+        w = 1.0 / (np.abs(rng.standard_normal((1, n))) + 1e-3)
+        phi = np.nextafter(np.einsum("ij,ij->i", w, np.abs(v)), 0.0)
+        block = projections._project_block(v, w, phi)
+        assert np.all(np.abs(block) <= np.abs(v))
+        unchanged += int(np.array_equal(block, v))
+        out = project_weighted_l1_rows(v, w, phi)
+        assert np.all(np.abs(out) <= np.abs(v))
+        zeros = v == 0.0
+        assert np.all(out[zeros] == 0.0) and not np.any(np.signbit(out[zeros]))
+        assert_row_matches_oracle(v[0], w[0], phi[0], out[0])
+    assert unchanged > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadl.initializer import InitConfig, initialize
 from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.solver import (
     _EXPANDED_LOSS_FLOOR,
@@ -504,6 +505,22 @@ def test_one_iteration_is_the_plain_step(rng):
     np.testing.assert_array_equal(res.trace.momentum, [0.0])
 
 
+def test_run_iadl_stops_at_the_first_change_below_the_tolerance():
+    # a noisy fit from the package's own start settles to a relative change
+    # of 1e-6 in a few hundred iterations (the shipped 1e-8 is not reached in
+    # 2 000); the tolerance test compares the last two recorded objectives
+    rng = np.random.default_rng(0)
+    x, _, _, delta, spec = make_instance(rng, t=12, n=40, k=3, m=1, phi=np.full(3, 20.0))
+    d0, s0 = initialize(x, 3, delta, spec, InitConfig(rng_seed=0))
+    cfg = SolverConfig(max_iters=2000, rel_obj_tol=1e-6)
+    trace = run_iadl(x, d0, s0, delta, spec, cfg).trace
+    assert trace.stop_reason == "tolerance"
+    assert 2 < trace.iterations_run < cfg.max_iters
+    change = np.abs(np.diff(trace.objective)) / trace.objective[:-1]
+    assert change[-1] < cfg.rel_obj_tol
+    assert np.all(change[:-1] >= cfg.rel_obj_tol)
+
+
 def test_run_iadl_zero_start_and_zero_atoms_take_the_scale_floor(rng):
     # From an all-zero S the weights are 1/epsilon.
     # - With an all-zero start dictionary both Gram matrices of the first
@@ -620,7 +637,7 @@ def test_run_iadl_deterministic(rng):
 
 
 def test_run_iadl_forms_no_data_sized_array(rng, traced_peak):
-    # the start's objective comes from X S^T and S S^T, like every other one
+    # every objective comes from X S^T and S S^T, and the start's is not taken
     x, d0, s0, delta, spec = make_instance(rng, t=200, n=4000, k=4)
     cfg = SolverConfig(max_iters=3, rel_obj_tol=0.0)
     res, peak = traced_peak(lambda: run_iadl(x, d0, s0, delta, spec, cfg))
