@@ -144,10 +144,7 @@ def _load_start(init_dir, data_checksum, settings, delta):
     """The start ``iadl init`` saved, exactly as saved; refused if a file
     changed since, or it was computed from other data or under other
     settings."""
-    iadl_io.verify_manifest(init_dir)
-    manifest = iadl_io.read_json_object(
-        init_dir / "manifest.json", ["data_checksum", "settings"]
-    )
+    manifest = iadl_io.verify_manifest(init_dir, ["data_checksum", "settings"])
     if manifest["data_checksum"] != data_checksum:
         raise ValueError(f"{init_dir}: start was computed from different data")
     saved = manifest["settings"]

@@ -121,21 +121,22 @@ def read_json_object(path, keys=()) -> dict:
     return doc
 
 
-def read_manifest(directory) -> dict:
+def read_manifest(directory, keys=()) -> dict:
+    """The directory's manifest, which must hold ``checksums`` and ``keys``."""
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest in {directory}")
-    manifest = read_json_object(path, ["checksums"])
+    manifest = read_json_object(path, ["checksums", *keys])
     checksums = manifest["checksums"]
     if not isinstance(checksums, dict) or not all(isinstance(v, str) for v in checksums.values()):
         raise ValueError(f"{path}: key 'checksums' must map file names to digests")
     return manifest
 
 
-def verify_manifest(directory) -> dict:
+def verify_manifest(directory, keys=()) -> dict:
     """Recompute every checksum and fail loudly on drift; returns the
-    manifest it verified."""
-    manifest = read_manifest(directory)
+    manifest it verified, which must also hold ``keys``."""
+    manifest = read_manifest(directory, keys)
     for name, recorded in manifest["checksums"].items():
         if not (Path(directory) / name).is_file():
             raise ValueError(f"{directory}/manifest.json: listed file {name!r} is missing")

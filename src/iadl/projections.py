@@ -2,8 +2,14 @@
 initializer: weighted-l1 balls per row or over a whole matrix, and
 similarity balls around the task time courses.
 
-All functions are pure; row-wise matrix projections share no mutable state
-and are safe to run in parallel.
+All functions are pure, and row-wise matrix projections share no mutable
+state. A row's projection can still depend on its block: the row sums
+(``np.einsum("ij,ij->i", ...)``) that feed the violation test, the Michelot
+bounds and the mend split a row longer than 8 192 elements at buffer
+boundaries set by its offset in the block. Up to 8 192 columns a row gets
+the bits it gets alone; past that (the full recipe's 10 000 voxels) it may
+differ in the last bits, so projecting a block's rows in parallel pieces is
+not bit-identical to projecting the block whole.
 """
 
 from __future__ import annotations

@@ -12,12 +12,17 @@ perturbation: sigma is found by secant steps so that mean((X - Y)^2) on the
 returned X meets the power implied by the requested SNR to rounding. That
 convention is a documented choice; pass ``snr_db=inf`` for a noise-free
 dataset. The calibration holds four T x N arrays, the clean mixture, the
-two normal draws and one work array, and forms the noisy data in blocks of
-``_NOISE_BLOCK`` elements; its last pass writes X over the first draw.
+two normal draws and one work array. It forms the noisy data in blocks, each
+in the slice it is written to, and its last pass writes X over the first
+draw. Each full-size pass is split across the cores the process may run on,
+one thread each; the passes are elementwise, so the data do not depend on
+the core count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +59,11 @@ _EVENT_RATE = 0.04
 _SIGMA_STEP_RTOL = 1e-9
 _MAX_POWER_EVALS = 30
 
-# The calibration forms the lifted signal and X this many elements at a
-# time (two 128 KiB buffers), so it holds no full-size array besides the
-# draws and one work array.
+# The calibration's workers share two blocks of this many elements as
+# scratch (256 KiB), 2 * _NOISE_BLOCK // W each for W workers, one worker
+# per core; each forms X a block of that size at a time, in the slice X is
+# written to, so it holds no full-size array besides the draws and one work
+# array at any core count.
 _NOISE_BLOCK = 1 << 14
 
 
@@ -163,6 +170,13 @@ def transient_time_course(n_times: int, h, rng) -> np.ndarray:
     return task_time_course(events, h)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_rician_noise(clean, target_power, rng):
     """Magnitude noise around a baseline-lifted intensity; returns the
     noisy data and sigma.
@@ -178,14 +192,22 @@ def _add_rician_noise(clean, target_power, rng):
     perturbation is sigma * g1 to first order, so the search starts at
     sqrt(target_power / mean(g1^2)) and takes its first step through the
     origin. Besides ``clean`` it holds three full-size arrays, the draws g1
-    and g2 and one work array. Each evaluation passes over them in blocks of
-    ``_NOISE_BLOCK`` elements, forming the lifted signal and X per block,
-    and writes (X - clean)^2 into the work array, whose mean is the realized
-    power. The stop test reads only sigmas, so it runs before an evaluation,
-    and the last pass writes X at the final sigma over g1 and returns it:
-    the realized power is measured on exactly the data returned and meets
-    the target to rounding. A zero target (+inf dB, or an all-zero clean
+    and g2 and one work array. Each evaluation forms X a block at a time in
+    the block's own slice of the work array and turns it into
+    (X - clean)^2 there; the work array's mean is the realized power. The
+    stop test reads only sigmas, so it runs before an evaluation, and the
+    last pass forms X at the final sigma over g1 and returns it: the
+    realized power is measured on exactly the data returned and meets the
+    target to rounding. A zero target (+inf dB, or an all-zero clean
     signal) gives sigma = 0 and X = clean, and draws nothing.
+
+    Each full-size pass (the square of g1, every evaluation and the last
+    pass) is split into one contiguous share per usable core: the calling
+    thread walks the first, and a thread pool that lives for the call the
+    others, each worker with one scratch block of its own. The passes are
+    elementwise and the shares disjoint, and the means, the secant and the
+    stop tests run on the calling thread, so X and sigma keep their bits at
+    any core count.
     """
     if target_power == 0.0:
         return clean.copy(), 0.0
@@ -194,55 +216,72 @@ def _add_rician_noise(clean, target_power, rng):
     baseline = -float(clean.min()) + 6.0 * np.sqrt(target_power)
     work = np.empty(clean.shape)
     flat_clean, flat_g1, flat_g2, flat_work = (a.reshape(-1) for a in (clean, g1, g2, work))
-    block = min(_NOISE_BLOCK, clean.size)
-    lifted = np.empty(block)
-    scaled = np.empty(block)
+    size = clean.size
+    # no more workers than blocks, sharing two blocks of scratch
+    workers = max(1, min(_usable_cores(), -(-size // _NOISE_BLOCK)))
+    block = max(1, min(2 * _NOISE_BLOCK // workers, -(-size // workers)))
+    bounds = [size * i // workers for i in range(workers + 1)]
+    scratch = [np.empty(block) for _ in range(workers)]
 
-    def noisy_blocks(sigma):
-        # X = hypot(clean + baseline + sigma g1, sigma g2) - baseline, one
-        # block at a time; yields the slice and X's block
-        for lo in range(0, clean.size, block):
-            hi = min(lo + block, clean.size)
-            x, y = lifted[: hi - lo], scaled[: hi - lo]
-            np.add(flat_clean[lo:hi], baseline, out=x)
-            np.multiply(flat_g1[lo:hi], sigma, out=y)
-            np.add(x, y, out=x)
-            np.multiply(flat_g2[lo:hi], sigma, out=y)
-            np.hypot(x, y, out=x)
-            np.subtract(x, baseline, out=x)
-            yield slice(lo, hi), x
+    def share(i, task):
+        # task(lo, hi, scratch) over the i-th share, a block at a time
+        for lo in range(bounds[i], bounds[i + 1], block):
+            task(lo, min(lo + block, bounds[i + 1]), scratch[i])
 
-    def amplitude(sigma):
-        # the RMS of X - clean; np.mean sums pairwise over the whole work
-        # array, independent of the blocks and of the BLAS
-        for part, x in noisy_blocks(sigma):
-            np.subtract(x, flat_clean[part], out=flat_work[part])
-            np.square(flat_work[part], out=flat_work[part])
-        return float(np.sqrt(np.mean(work)))
+    def noisy_block(sigma, lo, hi, x, buf):
+        # x = hypot(clean + baseline + sigma g1, sigma g2) - baseline over
+        # [lo, hi); x may be g1's own slice, which is read before it is written
+        y = buf[: hi - lo]
+        np.multiply(flat_g1[lo:hi], sigma, out=y)
+        np.add(flat_clean[lo:hi], baseline, out=x)
+        np.add(x, y, out=x)
+        np.multiply(flat_g2[lo:hi], sigma, out=y)
+        np.hypot(x, y, out=x)
+        np.subtract(x, baseline, out=x)
 
-    def noisy(sigma):
-        for part, x in noisy_blocks(sigma):
-            flat_g1[part] = x
-        return g1, sigma
+    def power_block(sigma, lo, hi, buf):
+        x = flat_work[lo:hi]
+        noisy_block(sigma, lo, hi, x, buf)
+        np.subtract(x, flat_clean[lo:hi], out=x)
+        np.square(x, out=x)
 
     target = float(np.sqrt(target_power))
-    np.square(g1, out=work)
-    sigma = target / float(np.sqrt(np.mean(work)))
-    prev_sigma, prev_amp = 0.0, 0.0
-    for _ in range(_MAX_POWER_EVALS):
-        if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma:
-            return noisy(sigma)
-        amp = amplitude(sigma)
-        if amp == target:
-            return noisy(sigma)
-        if amp == prev_amp:
-            raise RuntimeError(
-                f"noise calibration stalled: sigma {prev_sigma!r} and {sigma!r} "
-                f"both realize noise amplitude {amp!r}"
-            )
-        step = (target - amp) * (sigma - prev_sigma) / (amp - prev_amp)
-        prev_sigma, prev_amp = sigma, amp
-        sigma += step
+    # the pool starts a thread only when a share is submitted to it
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+
+        def run(task):
+            others = [pool.submit(share, i, task) for i in range(1, workers)]
+            share(0, task)
+            for future in others:
+                future.result()
+
+        def amplitude(sigma):
+            # the RMS of X - clean; np.mean sums pairwise over the whole
+            # work array, independent of the shares, the blocks and the BLAS
+            run(lambda lo, hi, buf: power_block(sigma, lo, hi, buf))
+            return float(np.sqrt(np.mean(work)))
+
+        def noisy(sigma):
+            run(lambda lo, hi, buf: noisy_block(sigma, lo, hi, flat_g1[lo:hi], buf))
+            return g1, sigma
+
+        run(lambda lo, hi, buf: np.square(flat_g1[lo:hi], out=flat_work[lo:hi]))
+        sigma = target / float(np.sqrt(np.mean(work)))
+        prev_sigma, prev_amp = 0.0, 0.0
+        for _ in range(_MAX_POWER_EVALS):
+            if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma:
+                return noisy(sigma)
+            amp = amplitude(sigma)
+            if amp == target:
+                return noisy(sigma)
+            if amp == prev_amp:
+                raise RuntimeError(
+                    f"noise calibration stalled: sigma {prev_sigma!r} and {sigma!r} "
+                    f"both realize noise amplitude {amp!r}"
+                )
+            step = (target - amp) * (sigma - prev_sigma) / (amp - prev_amp)
+            prev_sigma, prev_amp = sigma, amp
+            sigma += step
     raise RuntimeError(
         f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
         f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"

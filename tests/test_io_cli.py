@@ -832,6 +832,23 @@ def test_cli_init_and_fit_read_the_data_once_and_record_its_checksum(
     assert json.loads((fit / "resolved.json").read_text())["data_checksum"] == digest
 
 
+def test_cli_fit_parses_the_start_manifest_once(tmp_path, monkeypatch, mini_start):
+    config, data, saved = mini_start
+    manifest = saved / "manifest.json"
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        if path == manifest:
+            reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert main(["fit", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "fit"), "--init-dir", str(saved)]) == 0
+    assert len(reads) == 1
+
+
 def _tamper_start(tmp_path, start, data):
     coef = start / "init_coef.iadl"
     raw = bytearray(coef.read_bytes())
@@ -871,11 +888,23 @@ def _start_with_other_theta(tmp_path, start, data):
     return "start was computed with a different 'phi'"
 
 
+def _manifest_without(key):
+    def spoil(tmp_path, start, data):
+        manifest = json.loads((start / "manifest.json").read_text())
+        del manifest[key]
+        (start / "manifest.json").write_text(json.dumps(manifest))
+        return f"{start / 'manifest.json'}: missing key {key!r}"
+
+    return spoil
+
+
 @pytest.mark.parametrize(
     "spoil",
     [_tamper_start, _start_on_other_data, _fit_with_other_k, _blind_start,
-     _start_with_other_theta],
-    ids=["tampered", "other_data", "wrong_k", "blind_start", "other_theta"],
+     _start_with_other_theta, _manifest_without("data_checksum"),
+     _manifest_without("settings")],
+    ids=["tampered", "other_data", "wrong_k", "blind_start", "other_theta",
+         "no_data_checksum", "no_settings"],
 )
 def test_cli_fit_refuses_a_start_that_does_not_fit(tmp_path, capsys, mini_start, spoil):
     config, data, saved = mini_start

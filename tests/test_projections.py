@@ -420,6 +420,32 @@ def test_tied_breakpoints_with_inexact_sums_stay_within_the_oracle(rng):
             np.testing.assert_array_equal(alone[0].view(np.int64), out[i].view(np.int64))
 
 
+@pytest.mark.parametrize("k, n", [(8, 1600), (12, 1600), (20, 8192)],
+                         ids=["mini", "group", "widest_unsplit"])
+def test_rows_keep_their_bits_in_blocks_of_up_to_8192_columns(rng, k, n):
+    # the row sums (np.einsum "ij,ij->i") are split at buffer boundaries
+    # only past 8 192 columns, so up to there a row's projection inside its
+    # block is the one it gets alone. Solver-like rows, with a zero-radius
+    # row, a row inside its ball, rows whose weights dwarf the radius (the
+    # mend) and a row of tied breakpoints.
+    for _ in range(3):
+        prev = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.15)
+        v = prev + 0.05 * rng.standard_normal((k, n))
+        w = compute_weights(prev, 1e-6)
+        phi = n * (1.0 - rng.uniform(70.0, 99.0, k) / 100.0)
+        phi[0] = 0.0
+        phi[1] = 2.0 * np.sum(w[1] * np.abs(v[1]))
+        w[2:5] = 10.0 ** rng.uniform(3, 10, (3, 1))
+        phi[2:5] = rng.uniform(0.5, 5.0, 3)
+        w[5] = 2.0 ** rng.integers(-6, 7, n)
+        v[5] = rng.choice([0.5, 1.0, 3.0], n) * w[5] * rng.choice([-1.0, 1.0], n)
+        phi[5] = 0.3 * np.sum(w[5] * np.abs(v[5]))
+        out = project_weighted_l1_rows(v, w, phi)
+        for i in range(k):
+            alone = project_weighted_l1_rows(v[i : i + 1], w[i : i + 1], phi[i : i + 1])
+            np.testing.assert_array_equal(alone[0].view(np.int64), out[i].view(np.int64))
+
+
 def test_rowwise_projection_matches_vector_loop(rng):
     v = rng.standard_normal((6, 15)) * 3
     w = rng.random((6, 15)) + 0.02

@@ -175,12 +175,22 @@ def _clean(ds):
     return ds.truth.time_courses @ ds.truth.spatial_maps
 
 
+_DENSE_CASES = [(mini_benchmark, 10.0, s, f"mini_seed{s}") for s in range(5)]
+_DENSE_CASES.append((full_benchmark, 0.0, 7, "full_seed7"))
+
+
 @pytest.mark.parametrize(
-    "build, snr_db, seed",
-    [(mini_benchmark, 10.0, s) for s in range(5)] + [(full_benchmark, 0.0, 7)],
-    ids=[f"mini_seed{s}" for s in range(5)] + ["full_seed7"],
+    "build, snr_db, seed, cores",
+    [(build, snr, seed, cores) for build, snr, seed, _ in _DENSE_CASES
+     for cores in (None, 1, 2, 7)],
+    ids=[name + ("" if cores is None else f"-cores{cores}") for *_, name in _DENSE_CASES
+         for cores in (None, 1, 2, 7)],
 )
-def test_noise_calibration_matches_dense_reference(build, snr_db, seed):
+def test_noise_calibration_matches_dense_reference(build, snr_db, seed, cores, monkeypatch):
+    # each pass is split into one share per core the calibration sees (the
+    # machine's own count when None); 7 shares split the blocks unevenly
+    if cores is not None:
+        monkeypatch.setattr(synthgen, "_usable_cores", lambda: cores)
     clean = _clean(build(np.random.default_rng(seed), snr_db=np.inf))
     sigma, _ = assert_calibration_matches_dense_reference(clean, snr_db, seed)
     assert sigma > 0.0
@@ -210,6 +220,15 @@ def test_noise_calibration_holds_three_full_size_arrays(rng, traced_peak):
     (_, sigma), peak = traced_peak(lambda: synthgen._add_rician_noise(clean, 0.5, rng))
     assert sigma > 0.0
     assert peak <= 3 * clean.nbytes + 2**20
+
+
+def test_noise_calibration_workers_share_the_scratch(rng, traced_peak, monkeypatch):
+    # seven workers hold two blocks of scratch between them, not one each
+    monkeypatch.setattr(synthgen, "_usable_cores", lambda: 7)
+    clean = rng.standard_normal((300, 2000))
+    (_, sigma), peak = traced_peak(lambda: synthgen._add_rician_noise(clean, 0.5, rng))
+    assert sigma > 0.0
+    assert peak <= 3 * clean.nbytes + 2 * synthgen._NOISE_BLOCK * 8 + 2**17
 
 
 def test_assemble_all_zero_signal_gets_no_noise(rng):
