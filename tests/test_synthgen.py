@@ -181,10 +181,9 @@ _DENSE_CASES.append((full_benchmark, 0.0, 7, "full_seed7"))
 
 @pytest.mark.parametrize(
     "build, snr_db, seed, cores",
-    [(build, snr, seed, cores) for build, snr, seed, _ in _DENSE_CASES
-     for cores in (None, 1, 2, 7)],
-    ids=[name + ("" if cores is None else f"-cores{cores}") for *_, name in _DENSE_CASES
-         for cores in (None, 1, 2, 7)],
+    [pytest.param(build, snr_db, seed, cores,
+                  id=name if cores is None else f"{name}-cores{cores}")
+     for build, snr_db, seed, name in _DENSE_CASES for cores in (None, 1, 2, 7)],
 )
 def test_noise_calibration_matches_dense_reference(build, snr_db, seed, cores, monkeypatch):
     # each pass is split into one share per core the calibration sees (the
