@@ -218,8 +218,8 @@ def _add_rician_noise(clean, target_power, rng):
     flat_clean, flat_g1, flat_g2, flat_work = (a.reshape(-1) for a in (clean, g1, g2, work))
     size = clean.size
     # no more workers than blocks, sharing two blocks of scratch
-    workers = max(1, min(_usable_cores(), -(-size // _NOISE_BLOCK)))
-    block = max(1, min(2 * _NOISE_BLOCK // workers, -(-size // workers)))
+    workers = min(_usable_cores(), -(-size // _NOISE_BLOCK))
+    block = min(2 * _NOISE_BLOCK // workers, -(-size // workers))
     bounds = [size * i // workers for i in range(workers + 1)]
     scratch = [np.empty(block) for _ in range(workers)]
 
