@@ -29,7 +29,7 @@ from .projections import (
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
 )
-from .solver import _atom_balls, _coefficient_step, _dictionary_step
+from .solver import _atom_balls, _block_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -181,10 +181,9 @@ def refine_full_sparsity(
     sv = sbar.values
     balls = _atom_balls(delta.values, dv.shape[1], spec)
     for _ in range(cfg.refine_iters):
-        sv, _ = _coefficient_step(
-            xv, dv, sv, spec.epsilon,
-            lambda a, w: project_weighted_l1_matrix_ball(a, w, phi_total),
-        )
+        weights = compute_weights(sv, spec.epsilon)
+        step = _block_step(dv.T @ xv, dv.T @ dv, sv)
+        sv = project_weighted_l1_matrix_ball(step, weights, phi_total)
         dv = _dictionary_step(xv, sv, dv, balls)[0]
     return Dictionary(dv, assisted_count=delta.n_courses), CoefficientMatrix(sv)
 

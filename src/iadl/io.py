@@ -122,7 +122,9 @@ def read_json_object(path, keys=()) -> dict:
 
 
 def read_manifest(directory, keys=()) -> dict:
-    """The directory's manifest, which must hold ``checksums`` and ``keys``."""
+    """The directory's manifest, which must hold ``checksums`` and ``keys``.
+    Each listed name must be a plain file name, so the manifest vouches for
+    files in its own directory only."""
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest in {directory}")
@@ -130,6 +132,9 @@ def read_manifest(directory, keys=()) -> dict:
     checksums = manifest["checksums"]
     if not isinstance(checksums, dict) or not all(isinstance(v, str) for v in checksums.values()):
         raise ValueError(f"{path}: key 'checksums' must map file names to digests")
+    for name in checksums:
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"{path}: listed name {name!r} is not a file in {directory}")
     return manifest
 
 
@@ -251,8 +256,8 @@ def _real_in(accepts, words):
     return rule
 
 
-_positive = _real_in(lambda v: v > 0, "positive")
-_non_negative = _real_in(lambda v: v >= 0, "non-negative")
+_positive = _real_in(lambda v: 0 < v < math.inf, "positive and finite")
+_non_negative = _real_in(lambda v: 0 <= v < math.inf, "non-negative and finite")
 # +inf simulates noise-free data
 _snr_db = _real_in(lambda v: v != -math.inf, "a real number or +inf")
 _hrf_spread = _real_in(lambda v: 0 <= v < 1, "in [0, 1)")

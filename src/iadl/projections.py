@@ -27,8 +27,8 @@ def compute_weights(x, epsilon: float) -> np.ndarray:
     The stabilizer ``epsilon`` keeps the weights finite on zero entries;
     element-wise, so ``x`` may have any shape.
     """
-    if epsilon <= 0:
-        raise ValueError("weight stabilizer must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon (weight stabilizer) must be positive and finite")
     return 1.0 / (np.abs(np.asarray(x, dtype=np.float64)) + epsilon)
 
 

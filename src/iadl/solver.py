@@ -1,17 +1,17 @@
 """Alternating block-majorized minimization with closed-form updates.
 
-Both blocks take the one step of ``_block_step``: a scaled gradient step on
-a quadratic majorizer of the Frobenius loss, then a projection. The
-coefficient block steps S against D and projects each row onto its
-weighted-l1 ball; the dictionary block takes the same step on the
-transposed problem, D^T against S^T, and projects every atom onto its ball
-in one call. The solver takes its coefficient step from an extrapolated
+Both blocks take the one step of ``_block_step``, a scaled gradient step on
+a quadratic majorizer of the Frobenius loss, and their callers project the
+point it returns. The coefficient block steps S against D and projects each
+row onto its weighted-l1 ball; the dictionary block takes the same step on
+the transposed problem, D^T against S^T, and projects every atom onto its
+ball in one call. The solver takes its coefficient step from an extrapolated
 anchor, S_k + beta_k (S_k - S_{k-1}), with the weights and so the balls
 still from S_k. An iteration whose objective would rise past the last one,
 or whose coefficient step moves against the momentum, is redone as the plain
 step and the extrapolation restarts. So the recorded objective never rises
 on an extrapolated iteration, and on a plain one it does not rise while the
-anchor lies in the balls it defines (see ``_coefficient_step``). It is read
+anchor lies in the balls it defines (see ``_iteration``). It is read
 off the products X S^T and S S^T that the dictionary step forms, and
 evaluated directly only when it is too small for that expansion.
 """
@@ -52,8 +52,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.rel_obj_tol < 0:
-            raise ValueError("rel_obj_tol must be non-negative")
+        if not 0 <= self.rel_obj_tol < math.inf:
+            raise ValueError("rel_obj_tol must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,12 @@ class SolveResult:
     trace: SolveTrace
 
 
-def _scale_constant(gram) -> float:
-    return max(_SCALE_MARGIN * float(np.linalg.eigvalsh(gram)[-1]), _SCALE_FLOOR)
-
-
-def _block_step(cross, gram, anchor, project):
+def _block_step(cross, gram, anchor):
     """One majorized block step: the scaled gradient step
     ``(cross + (cI - gram) @ anchor) / c`` from ``anchor``, with ``c`` the
-    step constant of ``gram``, handed to ``project``."""
-    c = _scale_constant(gram)
-    return project((cross + (c * np.eye(gram.shape[0]) - gram) @ anchor) / c)
-
-
-def _coefficient_step(xv, dv, sv, epsilon: float, project, anchor=None):
-    """The block step of S against D from ``anchor`` (S itself by default),
-    then ``project(a, weights)`` onto the caller's weighted-l1 ball with
-    weights from S; returns the result and those weights."""
-    # Weights come from the previous iterate S, also when the step starts
-    # from an extrapolated anchor. A plain step's objective is
-    # non-increasing while S lies in the ball its weights define,
-    # sum |s| / (|s| + epsilon) <= phi; an entry entering the support near
-    # epsilon can break that. Reweighting from the post-gradient matrix
-    # moves the constraint set away from the anchor and breaks monotonicity.
-    weights = compute_weights(sv, epsilon)
-    anchor = sv if anchor is None else anchor
-    return _block_step(dv.T @ xv, dv.T @ dv, anchor, lambda a: project(a, weights)), weights
+    step constant of ``gram``. The caller projects the point it returns."""
+    c = max(_SCALE_MARGIN * float(np.linalg.eigvalsh(gram)[-1]), _SCALE_FLOOR)
+    return (cross + (c * np.eye(gram.shape[0]) - gram) @ anchor) / c
 
 
 def _atom_balls(deltav, k: int, spec: ConstraintSpec):
@@ -118,7 +99,7 @@ def _dictionary_step(xv, sv, dv, balls):
     centres, radii = balls
     xs = xv @ sv.T
     gram = sv @ sv.T
-    d_t = _block_step(xs.T, gram, dv.T, lambda b: project_similarity_ball(b, centres, radii))
+    d_t = project_similarity_ball(_block_step(xs.T, gram, dv.T), centres, radii)
     excess = np.einsum("ij,ij->i", d_t - centres, d_t - centres) - radii
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
 
@@ -135,9 +116,14 @@ def _iteration(xv, x_sq: float, dv, sv, anchor, balls, spec: ConstraintSpec):
     onto the row balls that S's weights define, then the dictionary step onto
     the atoms' ``balls``. Returns the new S and D, their loss and the worst
     ball violation."""
-    s_new, weights = _coefficient_step(
-        xv, dv, sv, spec.epsilon, lambda a, w: project_weighted_l1_rows(a, w, spec.phi), anchor
-    )
+    # Weights come from the previous iterate S, also when the step starts
+    # from an extrapolated anchor. A plain step's objective is
+    # non-increasing while S lies in the ball its weights define,
+    # sum |s| / (|s| + epsilon) <= phi; an entry entering the support near
+    # epsilon can break that. Reweighting from the post-gradient matrix
+    # moves the constraint set away from the anchor and breaks monotonicity.
+    weights = compute_weights(sv, spec.epsilon)
+    s_new = project_weighted_l1_rows(_block_step(dv.T @ xv, dv.T @ dv, anchor), weights, spec.phi)
     wl1 = np.einsum("ij,ij->i", weights, np.abs(s_new))
     viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
     d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, balls)

@@ -33,8 +33,8 @@ class DataMatrix:
         arr = _frozen_array(self.values, "data matrix", ndim=2)
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("data matrix needs at least one row and one column")
-        if self.tr is not None and self.tr <= 0:
-            raise ValueError("repetition time must be positive")
+        if self.tr is not None and not 0 < self.tr < np.inf:
+            raise ValueError("tr (repetition time) must be positive and finite")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -125,12 +125,14 @@ class ConstraintSpec:
             raise ValueError("need at least one sparsity budget")
         if np.any(phi < 0):
             raise ValueError("sparsity budgets must be non-negative")
-        if self.c_delta < 0:
-            raise ValueError("similarity radius must be non-negative")
-        if self.c_d <= 0:
-            raise ValueError("free-atom norm bound must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("weight stabilizer must be positive")
+        # each test states what must hold, so NaN, which fails every
+        # comparison, is refused with infinity
+        if not 0 <= self.c_delta < np.inf:
+            raise ValueError("c_delta (similarity radius) must be non-negative and finite")
+        if not 0 < self.c_d < np.inf:
+            raise ValueError("c_d (free-atom norm bound) must be positive and finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon (weight stabilizer) must be positive and finite")
         object.__setattr__(self, "phi", phi)
 
     @property

@@ -200,6 +200,26 @@ def test_manifest_round_trip_and_tamper_detection(tmp_path, rng):
         verify_manifest(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "name_of",
+    [lambda root: "../outside.yaml", lambda root: str(root / "outside.yaml"),
+     lambda root: "sub/inner.iadl"],
+    ids=["parent", "absolute", "subdirectory"],
+)
+def test_manifest_refuses_names_outside_its_directory(tmp_path, name_of):
+    # a listed file with its correct digest would otherwise be vouched for
+    bundle = tmp_path / "bundle"
+    (bundle / "sub").mkdir(parents=True)
+    (tmp_path / "outside.yaml").write_text("k: 2\n")
+    (bundle / "sub" / "inner.iadl").write_text("inner\n")
+    listed = name_of(tmp_path)
+    write_manifest(bundle, [listed])
+    message = f"{bundle / 'manifest.json'}: listed name {listed!r} is not a file in {bundle}"
+    for read in (read_manifest, verify_manifest):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(bundle)
+
+
 def _evaluate_inputs(tmp_path, rng):
     """A truth and a fit directory that pass every check before scoring."""
     truth, fit = tmp_path / "truth", tmp_path / "fit"
@@ -490,6 +510,10 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         ("k: 2\nsparsity:\n  theta: [95, .inf]\n", "'sparsity.theta[1]'"),
         ("k: 2\nsparsity:\n  theta: [95, 94, 93]\n", "'sparsity.theta'"),
         ("k: 8\nsparsity:\n  theta: [95]\n", "'sparsity.theta'"),
+        (_BUDGET + "epsilon: .inf\n", "'epsilon'"),
+        (_BUDGET + "c_d: .inf\n", "'c_d'"),
+        (_BUDGET + "c_delta: .inf\n", "'c_delta'"),
+        (_BUDGET + "solver:\n  rel_obj_tol: .inf\n", "'solver.rel_obj_tol'"),
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
@@ -497,7 +521,8 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
          "max_iters_zero", "rel_obj_tol_negative", "refine_iters_negative",
          "hrf_spread_one_and_a_half", "hrf_spread_negative", "c_d_negative", "epsilon_zero",
          "c_delta_negative", "onset_negative", "durations_count", "theta_out_of_range",
-         "theta_inf", "theta_too_many", "theta_short_list_wrong_length"],
+         "theta_inf", "theta_too_many", "theta_short_list_wrong_length", "epsilon_inf",
+         "c_d_inf", "c_delta_inf", "rel_obj_tol_inf"],
 )
 def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     # a float count would be truncated and a boolean read as 0 or 1; a
@@ -508,6 +533,17 @@ def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     with pytest.raises(ValueError, match=re.escape(f"{path}: config key {key} must be")):
         load_config(path)
     _assert_commands_refuse(path, key, capsys)
+
+
+def test_cli_fit_refuses_an_infinite_epsilon_before_writing(tmp_path, capsys, mini_start):
+    # every weight would be zero: the start would fail, without the key,
+    # after --out was made
+    _, data, _ = mini_start
+    path, out = tmp_path / "c.yaml", tmp_path / "fit"
+    path.write_text(MINI_CONFIG + "epsilon: .inf\n")
+    assert main(["fit", "--config", str(path), "--data", str(data), "--out", str(out)]) == 1
+    assert f"{path}: config key 'epsilon' must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_refuses_negative_seed_flag(mini_config_path, tmp_path, capsys):

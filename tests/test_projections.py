@@ -43,6 +43,8 @@ def test_compute_weights_arithmetic():
 def test_compute_weights_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         compute_weights(np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="^epsilon .*finite"):
+        compute_weights(np.array([1.0]), np.nan)
 
 
 def test_weighted_l1_norm_zero():

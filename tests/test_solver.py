@@ -9,7 +9,7 @@ from iadl.solver import (
     _EXPANDED_LOSS_FLOOR,
     SolverConfig,
     _atom_balls,
-    _coefficient_step,
+    _block_step,
     _dictionary_step,
     _extrapolation,
     _iteration,
@@ -59,10 +59,9 @@ def make_instance(rng, t=12, n=30, k=4, m=2, phi=None, noise=0.05, budget_factor
 
 def coefficient_update(x, d, s, spec):
     """One majorized coefficient step under the solver's row-ball projection."""
-    out, _ = _coefficient_step(
-        x.values, d.values, s.values, spec.epsilon,
-        lambda a, w: project_weighted_l1_rows(a, w, spec.phi),
-    )
+    xv, dv, sv = x.values, d.values, s.values
+    step = _block_step(dv.T @ xv, dv.T @ dv, sv)
+    out = project_weighted_l1_rows(step, compute_weights(sv, spec.epsilon), spec.phi)
     return CoefficientMatrix(out)
 
 
@@ -495,10 +494,9 @@ def test_one_iteration_is_the_plain_step(rng):
     # start, bit for bit, then the dictionary step
     x, d0, s0, delta, spec = make_instance(rng, t=20, n=80, k=5, m=2)
     res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=1, rel_obj_tol=0.0))
-    s1, _ = _coefficient_step(
-        x.values, d0.values, s0.values, spec.epsilon,
-        lambda a, w: project_weighted_l1_rows(a, w, spec.phi),
-    )
+    xv, dv, sv = x.values, d0.values, s0.values
+    step = _block_step(dv.T @ xv, dv.T @ dv, sv)
+    s1 = project_weighted_l1_rows(step, compute_weights(sv, spec.epsilon), spec.phi)
     d1 = _dictionary_step(x.values, s1, d0.values, _atom_balls(delta.values, d0.n_atoms, spec))[0]
     np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
     np.testing.assert_array_equal(res.dictionary.values.view(np.int64), d1.view(np.int64))
@@ -643,6 +641,23 @@ def test_run_iadl_forms_no_data_sized_array(rng, traced_peak):
     res, peak = traced_peak(lambda: run_iadl(x, d0, s0, delta, spec, cfg))
     assert res.trace.iterations_run == 3
     assert peak < x.values.nbytes
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ConstraintSpec(np.ones(2), c_delta=np.nan), "c_delta"),
+        (lambda: ConstraintSpec(np.ones(2), c_d=np.inf), "c_d"),
+        (lambda: ConstraintSpec(np.ones(2), epsilon=np.nan), "epsilon"),
+        (lambda: SolverConfig(rel_obj_tol=np.nan), "rel_obj_tol"),
+        (lambda: DataMatrix(np.ones((2, 3)), tr=np.nan), "tr"),
+    ],
+    ids=["spec_c_delta", "spec_c_d", "spec_epsilon", "solver_rel_obj_tol", "data_tr"],
+)
+def test_constructors_refuse_non_finite_numbers(build, field):
+    # a NaN tolerance never stops a fit; an infinite bound leaves atoms free
+    with pytest.raises(ValueError, match=f"^{field} .*finite"):
+        build()
 
 
 def test_run_iadl_shape_validation(rng):

@@ -3,8 +3,10 @@
 Every top-level public function and class of ``src/iadl/*.py``, and every
 public method of those classes, must be referenced, as a name or an
 attribute and not inside a string, by package code outside ``__init__.py``
-or by the benchmark harness outside its tests. Reference implementations
-that only tests read belong in ``tests/oracles.py``.
+or by the benchmark harness outside its tests. Every private top-level
+function must be referenced by package code outside its own definition.
+Reference implementations that only tests read belong in
+``tests/oracles.py``.
 """
 
 import ast
@@ -66,6 +68,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert len(surface) > 50
     unused = [name for name in surface if name.rsplit(".", 1)[1] not in used]
     assert sorted(unused) == sorted(AWAITING_CALLER), f"public names only tests use: {unused}"
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper whose last caller went, but whose tests stayed, is dead code
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or _public(node.name):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(
+                (isinstance(ref, ast.Name) and ref.id == node.name)
+                or (isinstance(ref, ast.Attribute) and ref.attr == node.name)
+                for other in trees.values()
+                for ref in ast.walk(other)
+                if id(ref) not in own
+            ):
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused, f"private functions only tests use: {unused}"
 
 
 def test_import_loads_no_scipy_stats():
