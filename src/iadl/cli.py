@@ -175,11 +175,9 @@ def cmd_fit(args) -> int:
     iadl_io.save_matrix(result.dictionary.values, out / "fitted_dict.iadl")
     iadl_io.save_matrix(result.coefficients.values, out / "fitted_maps.iadl")
     trace = result.trace
-    lines = ["iteration,objective,max_violation,momentum"]
-    for i, (obj, viol, beta) in enumerate(
-        zip(trace.objective, trace.constraint_violation_max, trace.momentum), start=1
-    ):
-        lines.append(f"{i},{obj:.12g},{viol:.6g},{beta:.6g}")
+    lines = ["iteration,objective,max_violation"]
+    for i, (obj, viol) in enumerate(zip(trace.objective, trace.constraint_violation_max), start=1):
+        lines.append(f"{i},{obj:.12g},{viol:.6g}")
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
     resolved = {

@@ -172,7 +172,8 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
     entries whose breakpoint ``|v| / w`` lies at or under that bound; a
     sorted scan of the surviving breakpoints then gives the exact threshold,
     and only the survivors are thresholded (about a fifth of a solver row).
-    A NaN or an infinite entry of ``v`` is refused.
+    A NaN or an infinite entry of ``v`` is refused, and so is a NaN radius;
+    an infinite radius keeps its row.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
@@ -181,7 +182,7 @@ def project_weighted_l1_rows(v, w, phi) -> np.ndarray:
         raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
     if phi.shape != (v.shape[0],):
         raise ValueError(f"need one radius per row, got {phi.shape}")
-    if np.any(phi < 0):
+    if not np.all(phi >= 0):
         raise ValueError("ball radius must be non-negative")
     _check_weights(w)
     return _project_rows(v, w, phi)
@@ -205,8 +206,9 @@ def project_similarity_ball(b, delta, c_delta) -> np.ndarray:
     """Project each row of ``b`` onto ``{x : ||x - delta_i||^2 <= c_i}``.
 
     ``b`` and ``delta`` share one shape; a vector is a single row. The radius
-    ``c_delta`` is one number for every row or one per row. A zero centre
-    makes the ball a norm bound.
+    ``c_delta`` is one number for every row or one per row; a NaN radius is
+    refused, and an infinite one keeps its row. A zero centre makes the ball
+    a norm bound.
     """
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
@@ -216,11 +218,12 @@ def project_similarity_ball(b, delta, c_delta) -> np.ndarray:
     radii = np.asarray(c_delta, dtype=np.float64)
     if radii.ndim > 1 or radii.size not in (1, rows.shape[0]):
         raise ValueError(f"need one radius or one per row, got {radii.shape}")
-    if np.any(radii < 0):
+    if not np.all(radii >= 0):
         raise ValueError("similarity radius must be non-negative")
     diff = rows - centres
     # One BLAS dot per row, so a row rounds as the same vector would alone.
     dist_sq = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
     far = dist_sq > radii
-    scale = np.sqrt(radii / np.where(far, dist_sq, 1.0))
+    # a row inside its ball keeps a finite scale, also under an infinite radius
+    scale = np.sqrt(np.minimum(radii, dist_sq) / np.where(far, dist_sq, 1.0))
     return np.where(far[:, None], centres + scale[:, None] * diff, rows).reshape(b.shape)

@@ -5,15 +5,11 @@ a quadratic majorizer of the Frobenius loss, and their callers project the
 point it returns. The coefficient block steps S against D and projects each
 row onto its weighted-l1 ball; the dictionary block takes the same step on
 the transposed problem, D^T against S^T, and projects every atom onto its
-ball in one call. The solver takes its coefficient step from an extrapolated
-anchor, S_k + beta_k (S_k - S_{k-1}), with the weights and so the balls
-still from S_k. An iteration whose objective would rise past the last one,
-or whose coefficient step moves against the momentum, is redone as the plain
-step and the extrapolation restarts. So the recorded objective never rises
-on an extrapolated iteration, and on a plain one it does not rise while the
-anchor lies in the balls it defines (see ``_iteration``). It is read
-off the products X S^T and S S^T that the dictionary step forms, and
-evaluated directly only when it is too small for that expansion.
+ball in one call. Every iteration is the plain step from (D_k, S_k), so the
+recorded objective does not rise while S_k lies in the balls its own weights
+define (see ``_iteration``). It is read off the products X S^T and S S^T
+that the dictionary step forms, and evaluated directly only when it is too
+small for that expansion.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ class SolverConfig:
 class SolveTrace:
     objective: np.ndarray
     constraint_violation_max: np.ndarray
-    momentum: np.ndarray  # beta_k taken; 0 on a plain or redone step
     iterations_run: int
     stop_reason: str  # "max_iters" or "tolerance"
 
@@ -104,26 +99,18 @@ def _dictionary_step(xv, sv, dv, balls):
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
 
 
-def _extrapolation(t: float):
-    """The inertial weight beta_k = (t_k - 1) / t_{k+1} and t_{k+1} =
-    (1 + sqrt(1 + 4 t_k^2)) / 2; beta is exactly 0 at t_k = 1."""
-    t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-    return (t - 1.0) / t_next, t_next
-
-
-def _iteration(xv, x_sq: float, dv, sv, anchor, balls, spec: ConstraintSpec):
-    """One full iteration from (D, S): the coefficient step from ``anchor``
-    onto the row balls that S's weights define, then the dictionary step onto
-    the atoms' ``balls``. Returns the new S and D, their loss and the worst
-    ball violation."""
-    # Weights come from the previous iterate S, also when the step starts
-    # from an extrapolated anchor. A plain step's objective is
+def _iteration(xv, x_sq: float, dv, sv, balls, spec: ConstraintSpec):
+    """One full iteration from (D, S): the coefficient step from S onto the
+    row balls that S's weights define, then the dictionary step onto the
+    atoms' ``balls``. Returns the new S and D, their loss and the worst ball
+    violation."""
+    # Weights come from the previous iterate S. The objective is
     # non-increasing while S lies in the ball its weights define,
     # sum |s| / (|s| + epsilon) <= phi; an entry entering the support near
     # epsilon can break that. Reweighting from the post-gradient matrix
-    # moves the constraint set away from the anchor and breaks monotonicity.
+    # moves the constraint set away from S and breaks monotonicity.
     weights = compute_weights(sv, spec.epsilon)
-    s_new = project_weighted_l1_rows(_block_step(dv.T @ xv, dv.T @ dv, anchor), weights, spec.phi)
+    s_new = project_weighted_l1_rows(_block_step(dv.T @ xv, dv.T @ dv, sv), weights, spec.phi)
     wl1 = np.einsum("ij,ij->i", weights, np.abs(s_new))
     viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
     d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, balls)
@@ -178,14 +165,11 @@ def run_iadl(
     """Alternate coefficient and dictionary updates until the objective
     settles or the iteration budget runs out.
 
-    The coefficient step starts from S_k + beta_k (S_k - S_{k-1}), with
-    t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and beta_k = (t_k - 1) /
-    t_{k+1}; its weights, and so its balls, come from S_k, so every iterate
-    is feasible. The dictionary step is plain. An extrapolated iteration is
-    redone with beta = 0, and the sequence restarts at t = 1, when its
-    objective exceeds the last recorded one or when its gradient mapping
-    points against the momentum, <Y - S_{k+1}, S_{k+1} - S_k> > 0 for the
-    anchor Y (the gradient restart of O'Donoghue and Candès).
+    Each iteration is the plain majorized step from (D_k, S_k), with no
+    state carried from earlier iterations: the coefficient step from S_k
+    onto the balls of S_k's weights, so every iterate is feasible, then the
+    dictionary step from D_k. The objective does not rise while S_k lies in
+    the balls its own weights define.
 
     The recorded objective is the raw Frobenius loss after each full
     iteration; constraint penalties never enter it. It is computed as
@@ -205,24 +189,12 @@ def run_iadl(
 
     objective = []
     violations = []
-    momentum = []
     x_sq = float(np.vdot(xv, xv))
-    s_prev, t = sv, 1.0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        beta, t_next = _extrapolation(t)
-        anchor = sv + beta * (sv - s_prev) if beta > 0.0 else sv
-        s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, anchor, balls, spec)
-        if beta > 0.0 and (obj > objective[-1] or np.vdot(anchor - s_new, s_new - sv) > 0.0):
-            # the extrapolated step raised the objective, or its gradient
-            # mapping points against the momentum: take the plain step
-            # instead, as the first of a sequence restarted at t = 1
-            beta, t_next = _extrapolation(1.0)
-            s_new, d_new, obj, viol = _iteration(xv, x_sq, dv, sv, sv, balls, spec)
-        s_prev, sv, dv, t = sv, s_new, d_new, t_next
+        sv, dv, obj, viol = _iteration(xv, x_sq, dv, sv, balls, spec)
         objective.append(obj)
         violations.append(viol)
-        momentum.append(beta)
         if len(objective) > 1 and (
             abs(objective[-2] - obj) / max(objective[-2], 1e-30) < cfg.rel_obj_tol
         ):
@@ -232,7 +204,6 @@ def run_iadl(
     trace = SolveTrace(
         objective=np.array(objective),
         constraint_violation_max=np.array(violations),
-        momentum=np.array(momentum),
         iterations_run=len(objective),
         stop_reason=stop_reason,
     )

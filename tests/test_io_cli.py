@@ -697,11 +697,9 @@ def test_cli_full_pipeline(tmp_path, mini_config_path, capsys):
     assert resolved["assisted_count"] == 2
     assert resolved["c_delta"] > 0
     trace_lines = (fit / "trace.csv").read_text().strip().splitlines()
-    assert trace_lines[0] == "iteration,objective,max_violation,momentum"
+    assert trace_lines[0] == "iteration,objective,max_violation"
     objectives = [float(line.split(",")[1]) for line in trace_lines[1:]]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(objectives, objectives[1:]))
-    momentum = [float(line.split(",")[3]) for line in trace_lines[1:]]
-    assert momentum[0] == 0.0 and all(0.0 <= b < 1.0 for b in momentum)
 
     assert main(["evaluate", "--truth", str(data), "--fit", str(fit),
                  "--out", str(metrics)]) == 0

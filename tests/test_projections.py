@@ -221,6 +221,15 @@ def test_projection_zero_radius():
 def test_projection_rejects_bad_inputs():
     with pytest.raises(ValueError):
         project_weighted_l1_ball(np.ones(3), np.ones(3), -1.0)
+    # a NaN radius is refused; it used to pass the sign test and return its
+    # input unprojected
+    with pytest.raises(ValueError, match="non-negative"):
+        project_weighted_l1_ball(np.ones(3), np.ones(3), np.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        project_weighted_l1_rows(np.ones((2, 3)), np.ones((2, 3)), [1.0, np.nan])
+    # an infinite radius bounds nothing
+    row = np.array([[1.0, -2.0, 3.0]])
+    np.testing.assert_array_equal(project_weighted_l1_rows(row, np.ones((1, 3)), [np.inf]), row)
     with pytest.raises(ValueError):
         project_weighted_l1_ball(np.ones(3), np.array([1.0, -1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
@@ -560,6 +569,13 @@ def test_similarity_ball_matrix_input_validation():
         project_similarity_ball(np.ones((3, 2)), np.zeros((3, 2)), [1.0, 2.0])
     with pytest.raises(ValueError, match="non-negative"):
         project_similarity_ball(np.ones((2, 2)), np.zeros((2, 2)), [1.0, -1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        project_similarity_ball(np.ones((2, 2)), np.zeros((2, 2)), [1.0, np.nan])
+    with pytest.raises(ValueError, match="non-negative"):
+        project_similarity_ball(np.ones(3), np.zeros(3), np.nan)
+    # an infinite radius keeps its row, with no invalid arithmetic on the way
+    b = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(project_similarity_ball(b, np.zeros((2, 3)), np.inf), b)
     with pytest.raises(ValueError, match="shape"):
         project_similarity_ball(np.ones((2, 2)), np.zeros((2, 3)), 1.0)
 

@@ -11,8 +11,6 @@ from iadl.solver import (
     _atom_balls,
     _block_step,
     _dictionary_step,
-    _extrapolation,
-    _iteration,
     run_iadl,
 )
 from iadl.synthgen import mini_benchmark
@@ -260,12 +258,10 @@ def test_run_iadl_fixed_point_at_global_optimum(rng):
 
 def check_dense_budgets_reference_run(rng, noise, iters):
     # with phi_i = N and a start above the solution scale the solve must
-    # follow norm-bounded alternating updates step for step: the coefficient
-    # step from S_k + beta_k (S_k - S_{k-1}) onto the balls of S_k's weights,
-    # redone from S_k with a restart at t = 1 when the loss would rise or the
-    # step's gradient mapping points against the momentum, and a plain
-    # dictionary step. An extrapolated entry can outgrow its anchor's weight,
-    # so even phi_i = N binds; the reference projects by bisection.
+    # follow norm-bounded alternating updates step for step: the plain
+    # coefficient step from S_k onto the balls of S_k's weights, then the
+    # plain dictionary step. The step can take an entry past its weight's
+    # share, so even phi_i = N may bind; the reference projects by bisection.
     t, n, k = 8, 14, 3
     d0, _ = np.linalg.qr(rng.standard_normal((t, k)))
     s_star = rng.standard_normal((k, n))
@@ -273,34 +269,20 @@ def check_dense_budgets_reference_run(rng, noise, iters):
     s0 = 3.0 * s_star
     spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=0.0, c_d=1.0)
 
-    def reference_iteration(dv, sv, anchor):
+    dv, sv = d0.copy(), s0.copy()
+    for _ in range(iters):
         gram = dv.T @ dv
         c_s = max(1.01 * oracle_spectral_norm(gram), 1e-12)
-        a = (dv.T @ x + (c_s * np.eye(k) - gram) @ anchor) / c_s
+        a = (dv.T @ x + (c_s * np.eye(k) - gram) @ sv) / c_s
         w = 1.0 / (np.abs(sv) + spec.epsilon)
-        s_new = np.array([oracle_project(a[i], w[i], float(n)) for i in range(k)])
-        gram2 = s_new @ s_new.T
+        sv = np.array([oracle_project(a[i], w[i], float(n)) for i in range(k)])
+        gram2 = sv @ sv.T
         c_d = max(1.01 * oracle_spectral_norm(gram2), 1e-12)
-        b = (x @ s_new.T + dv @ (c_d * np.eye(k) - gram2)) / c_d
+        dv = (x @ sv.T + dv @ (c_d * np.eye(k) - gram2)) / c_d
         for j in range(k):
-            nrm2 = float(b[:, j] @ b[:, j])
+            nrm2 = float(dv[:, j] @ dv[:, j])
             if nrm2 > 1.0:
-                b[:, j] /= np.sqrt(nrm2)
-        return b, s_new, float(np.sum((x - b @ s_new) ** 2))
-
-    dv, sv, s_prev, t_k = d0.copy(), s0.copy(), s0.copy(), 1.0
-    last = float(np.sum((x - dv @ sv) ** 2))
-    betas = []
-    for _ in range(iters):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-        beta = (t_k - 1.0) / t_next
-        anchor = sv + beta * (sv - s_prev)
-        d_new, s_new, loss = reference_iteration(dv, sv, anchor)
-        if beta > 0.0 and (loss > last or np.sum((anchor - s_new) * (s_new - sv)) > 0.0):
-            beta, t_next = 0.0, (1.0 + np.sqrt(5.0)) / 2.0
-            d_new, s_new, loss = reference_iteration(dv, sv, sv)
-        betas.append(beta)
-        s_prev, sv, dv, t_k, last = sv, s_new, d_new, t_next, loss
+                dv[:, j] /= np.sqrt(nrm2)
 
     cfg = SolverConfig(max_iters=iters, rel_obj_tol=0.0)
     res = run_iadl(
@@ -313,15 +295,8 @@ def check_dense_budgets_reference_run(rng, noise, iters):
     )
     np.testing.assert_allclose(res.coefficients.values, sv, rtol=1e-6, atol=1e-9)
     np.testing.assert_allclose(res.dictionary.values, dv, rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(res.trace.momentum, betas, rtol=1e-12, atol=0.0)
     if noise == 0.0:
-        # the exact factorization converges as fast as plain steps do: each
-        # extrapolated step overshoots and is redone (momentum stays 0), where
-        # a rise test alone kept the momentum and left the loss near 2e-5
-        assert np.all(res.trace.momentum == 0.0)
         assert res.trace.objective[-1] < 1e-20
-    else:
-        assert np.count_nonzero(res.trace.momentum) > iters // 2
 
 
 def test_run_iadl_dense_budgets_match_reference_run(rng):
@@ -366,13 +341,6 @@ def property_instance(seed, t, n, k, m_share, rank, noise, c_delta, a):
     return x, d, s, delta, spec, max(float(spec.phi.max()), c_delta, spec.c_d)
 
 
-# Instances with a redone extrapolated step. At iteration 10 of
-# GRADIENT_CASE the step would lower the objective by 1.3%, but its gradient
-# mapping points against the momentum. At iteration 23 of RISE_CASE it would
-# raise the objective by 0.2% while the gradient test passes.
-GRADIENT_CASE = dict(seed=41239, t=7, n=20, k=3, m_share=0.5, rank=5, noise=0.1, c_delta=0.5, a=0)
-RISE_CASE = dict(seed=223401754, t=2, n=2, k=8, m_share=1.0, rank=8, noise=0.1, c_delta=0.0, a=5)
-
 PROPERTY_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     t=st.integers(2, 24),
@@ -400,8 +368,8 @@ PROPERTY_DRAWS = dict(
 def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
     seed, t, n, k, m_share, rank, noise, c_delta, a, iters
 ):
-    # The solve runs one iteration at a time, so every step is plain
-    # (beta_1 = 0) and each step's anchor can be inspected.
+    # The solve runs one iteration at a time, so each step's start can be
+    # inspected.
     x, d, s, delta, spec, radius = property_instance(
         seed, t, n, k, m_share, rank, noise, c_delta, a
     )
@@ -425,73 +393,9 @@ def test_run_iadl_objective_never_rises_and_iterates_stay_feasible(
         loss = res.trace.objective[0]
 
 
-@settings(max_examples=100, deadline=None)
-@given(**PROPERTY_DRAWS, iters=st.integers(10, 30))
-@example(seed=1, t=12, n=40, k=4, m_share=0.5, rank=3, noise=0.0, c_delta=0.5, a=0, iters=30)
-@example(seed=5, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=30, iters=30)
-@example(seed=6, t=24, n=80, k=8, m_share=0.25, rank=6, noise=0.1, c_delta=0.5, a=-30, iters=30)
-# redos at iterations 10 and 23: momentum falls to 0 there and then restarts
-@example(**GRADIENT_CASE, iters=30)
-@example(**RISE_CASE, iters=30)
-def test_run_iadl_extrapolated_steps_never_raise_the_objective(
-    seed, t, n, k, m_share, rank, noise, c_delta, a, iters
-):
-    # One solve over many iterations, with the coefficient step extrapolated.
-    # An extrapolated iteration whose loss would rise is redone as a plain
-    # step, so the recorded objective falls on every iteration that keeps its
-    # momentum; the balls come from S_k, so every iterate is feasible.
-    x, d, s, delta, spec, radius = property_instance(
-        seed, t, n, k, m_share, rank, noise, c_delta, a
-    )
-    res = run_iadl(x, d, s, delta, spec, SolverConfig(max_iters=iters, rel_obj_tol=0.0))
-    obj, beta = res.trace.objective, res.trace.momentum
-    assert obj.shape == beta.shape == (iters,)
-    assert beta[0] == 0.0 and np.all((beta >= 0.0) & (beta < 1.0))
-    assert np.all(res.trace.constraint_violation_max <= 1e-9 * radius)
-    assert np.all(obj[1:][beta[1:] > 0.0] <= obj[:-1][beta[1:] > 0.0])
-
-
-@pytest.mark.parametrize("case, iteration, rises", [(GRADIENT_CASE, 10, False), (RISE_CASE, 23, True)])
-def test_an_extrapolated_step_is_redone_as_the_plain_step(case, iteration, rises):
-    x, d, s, delta, spec, _ = property_instance(**case)
-    x_sq = float(np.sum(x.values**2))
-
-    def solve(iters, d=d, s=s):
-        return run_iadl(x, d, s, delta, spec, SolverConfig(max_iters=iters, rel_obj_tol=0.0))
-
-    full = solve(30)
-    beta, obj = full.trace.momentum, full.trace.objective
-    j = iteration - 1
-    assert beta[j] == 0.0 < beta[j - 1], f"no redo at iteration {iteration}"
-
-    # the step it would have taken, from S_j + beta_j (S_j - S_{j-1}) with
-    # t running on from the last restart
-    since_restart = j - int(np.flatnonzero(beta[:j] == 0.0)[-1])
-    t_k = 1.0
-    for _ in range(since_restart + 1):
-        beta_j, t_k = _extrapolation(t_k)
-    prev, cur = solve(j - 1).coefficients.values, solve(j)
-    sv = cur.coefficients.values
-    anchor = sv + beta_j * (sv - prev)
-    balls = _atom_balls(delta.values, sv.shape[0], spec)
-    skipped, _, loss, _ = _iteration(x.values, x_sq, cur.dictionary.values, sv, anchor, balls, spec)
-    against = float(np.vdot(anchor - skipped, skipped - sv))
-    if rises:
-        assert loss > obj[j - 1] and against <= 0.0
-    else:
-        assert loss <= obj[j - 1] and against > 0.0
-
-    # the recorded iteration is the plain step from (D_j, S_j), bit for bit
-    plain = solve(1, cur.dictionary, cur.coefficients)
-    after = solve(j + 1)
-    assert plain.trace.objective[0] == obj[j] <= obj[j - 1]
-    np.testing.assert_array_equal(plain.coefficients.values, after.coefficients.values)
-    np.testing.assert_array_equal(plain.dictionary.values, after.dictionary.values)
-
-
 def test_one_iteration_is_the_plain_step(rng):
-    # beta_1 = 0: the first iteration is the plain coefficient step from the
-    # start, bit for bit, then the dictionary step
+    # one iteration is the plain coefficient step from the start, bit for
+    # bit, then the dictionary step
     x, d0, s0, delta, spec = make_instance(rng, t=20, n=80, k=5, m=2)
     res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=1, rel_obj_tol=0.0))
     xv, dv, sv = x.values, d0.values, s0.values
@@ -500,7 +404,22 @@ def test_one_iteration_is_the_plain_step(rng):
     d1 = _dictionary_step(x.values, s1, d0.values, _atom_balls(delta.values, d0.n_atoms, spec))[0]
     np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
     np.testing.assert_array_equal(res.dictionary.values.view(np.int64), d1.view(np.int64))
-    np.testing.assert_array_equal(res.trace.momentum, [0.0])
+
+
+def test_run_iadl_carries_no_state_between_iterations():
+    # a 30-iteration solve equals 30 chained one-iteration solves, bit for
+    # bit: every iteration is the plain step from (D_k, S_k)
+    x, d, s, delta, spec = make_instance(np.random.default_rng(5), t=30, n=200, k=5, m=2)
+    full = run_iadl(x, d, s, delta, spec, SolverConfig(max_iters=30, rel_obj_tol=0.0))
+    one = SolverConfig(max_iters=1, rel_obj_tol=0.0)
+    objective = []
+    for _ in range(30):
+        res = run_iadl(x, d, s, delta, spec, one)
+        d, s = res.dictionary, res.coefficients
+        objective.append(res.trace.objective[0])
+    np.testing.assert_array_equal(full.coefficients.values.view(np.int64), s.values.view(np.int64))
+    np.testing.assert_array_equal(full.dictionary.values.view(np.int64), d.values.view(np.int64))
+    np.testing.assert_array_equal(full.trace.objective.view(np.int64), np.array(objective).view(np.int64))
 
 
 def test_run_iadl_stops_at_the_first_change_below_the_tolerance():

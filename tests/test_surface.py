@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "iadl"
 HARNESS = ROOT / "pipebench"
 
-# The GLM baseline of the paper's comparison (ROADMAP item 4) is to call
+# The GLM baseline of the paper's comparison (ROADMAP item 5) is to call
 # these; until it does, only their tests do.
 AWAITING_CALLER = {"postproc.pinv_spatial_maps", "postproc.zscore_threshold"}
 
