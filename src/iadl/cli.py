@@ -41,8 +41,6 @@ def _load_config(args) -> iadl_io.ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     ds_cfg = config.dataset
     if ds_cfg.hrf_spread > 0:
@@ -53,9 +51,11 @@ def cmd_simulate(args) -> int:
     dataset = recipe.generate(rng, snr_db=ds_cfg.snr_db, hrf_params=subject_hrf)
     # the knowledge handed to the solver: the task courses under the
     # canonical response, whatever the subject response in the data
-    delta = task_courses(config.resolved_conditions(), recipe.n_times, recipe.tr,
+    delta = task_courses(ds_cfg.conditions, recipe.n_times, recipe.tr,
                          canonical_hrf(recipe.tr))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     iadl_io.save_matrix(dataset.x.values, out / "x.iadl")
     iadl_io.save_matrix(dataset.truth.time_courses, out / "true_courses.iadl")
     iadl_io.save_matrix(dataset.truth.spatial_maps, out / "true_maps.iadl")
@@ -82,7 +82,7 @@ def cmd_simulate(args) -> int:
 
 def _estimated_c_delta(config) -> float:
     ds = config.dataset
-    return estimate_c_delta(config.resolved_conditions(), ds.n_times, ds.tr)
+    return estimate_c_delta(ds.conditions, ds.n_times, ds.tr)
 
 
 def _load_fit_inputs(config, data_dir, blind):
@@ -122,10 +122,10 @@ def _start_settings(config, spec, blind) -> dict:
 
 def cmd_init(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     d0, s0 = initialize(x, config.k, delta, spec, config.init)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     iadl_io.save_matrix(d0.values, out / "init_dict.iadl")
     iadl_io.save_matrix(s0.values, out / "init_coef.iadl")
     iadl_io.write_manifest(
@@ -161,8 +161,6 @@ def _load_start(init_dir, data_checksum, settings, delta):
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     settings = _start_settings(config, spec, args.blind)
     if args.init_dir:
@@ -172,6 +170,8 @@ def cmd_fit(args) -> int:
 
     result = run_iadl(x, d0, s0, delta, spec, config.solver)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     iadl_io.save_matrix(result.dictionary.values, out / "fitted_dict.iadl")
     iadl_io.save_matrix(result.coefficients.values, out / "fitted_maps.iadl")
     trace = result.trace
@@ -229,9 +229,7 @@ def cmd_evaluate(args) -> int:
     reports = {
         mode: match_and_score(truth, est_d, est_s, p, mode) for mode in (FULL_SOURCE, TIME_COURSE)
     }
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    iadl_io.save_metrics(reports, out_path, truth.kinds)
+    iadl_io.save_metrics(reports, args.out, truth.kinds)
     full = reports[FULL_SOURCE].summaries
     print(
         f"mean r (full source): assisted {full.get('assisted_full', float('nan')):.4f}, "

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .hrf import ConditionSpec
 from .initializer import InitConfig
 from .solver import SolverConfig
 from .types import ConstraintSpec, phi_from_theta
@@ -178,7 +177,6 @@ class ExperimentConfig:
     k: int
     thetas: tuple
     seed: int = 0
-    conditions: tuple = ()
     c_delta: float | str = "auto"
     c_d: float = ConstraintSpec.c_d
     epsilon: float = ConstraintSpec.epsilon
@@ -189,10 +187,6 @@ class ExperimentConfig:
     def __post_init__(self):
         # the one seed: it also seeds the initializer's ICA start
         object.__setattr__(self, "init", replace(self.init, rng_seed=self.seed))
-
-    def resolved_conditions(self) -> tuple:
-        """Explicit conditions, else those fixed by the dataset recipe."""
-        return self.conditions if self.conditions else self.dataset.conditions
 
     def resolve_thetas(self) -> np.ndarray:
         """Full-length sparsity percentages.
@@ -212,12 +206,12 @@ class ExperimentConfig:
         return np.array([phi_from_theta(t, n_voxels) for t in self.resolve_thetas()])
 
 
-def _refuse_unknown(path, mapping, known, where=""):
+def _refuse_unknown(path, mapping, known):
     """A key the schema does not know would leave its setting at the
     default without a word, so it is refused."""
     for key in mapping:
         if key not in known:
-            raise ValueError(f"{path}: unknown config key '{where}{key}'")
+            raise ValueError(f"{path}: unknown config key '{key}'")
 
 
 def _integer(path, key, value, least=None) -> int:
@@ -282,33 +276,12 @@ def _c_delta(path, key, value):
     return value if value == "auto" else _non_negative(path, key, value)
 
 
-def _conditions(path, key, entries) -> tuple:
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: '{key}' must be a list of conditions")
-    conditions = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "onsets" not in entry or "durations" not in entry:
-            raise ValueError(f"{path}: assisted condition {i} needs 'onsets' and 'durations'")
-        where = f"{key}[{i}]"
-        _refuse_unknown(path, entry, ("onsets", "durations"), f"{where}.")
-        onsets = _reals(path, f"{where}.onsets", entry["onsets"])
-        durations = _reals(path, f"{where}.durations", entry["durations"])
-        try:
-            conditions.append(ConditionSpec(onsets, durations))
-        except ValueError as err:
-            raise ValueError(
-                f"{path}: config key '{where}' must be a valid condition: {err}"
-            ) from err
-    return tuple(conditions)
-
-
 # Every key a config file may set, by its dotted name, and the rule that
 # reads it. A section's keys fill the fields of the section's dataclass, and
 # a key the file leaves out keeps its field's default.
 _SCHEMA = {
     "seed": partial(_integer, least=0),
     "k": partial(_integer, least=1),
-    "assisted": _conditions,
     "sparsity.theta": partial(_reals, rule=_percent),
     "c_delta": _c_delta,
     "c_d": _positive,
@@ -321,7 +294,7 @@ _SCHEMA = {
     "init.refine_iters": partial(_integer, least=0),
 }
 # The ExperimentConfig fields of the keys not named after theirs.
-_FIELDS = {"assisted": "conditions", "sparsity.theta": "thetas"}
+_FIELDS = {"sparsity.theta": "thetas"}
 _SECTIONS = {"dataset": DatasetConfig, "solver": SolverConfig, "init": InitConfig}
 
 
@@ -359,8 +332,8 @@ def load_config(path) -> ExperimentConfig:
     config = ExperimentConfig(
         **top, **{name: cls(**nested[name]) for name, cls in _SECTIONS.items()}
     )
-    # A list shorter than k gives the assisted atoms theirs, one per condition.
-    k, given, assisted_count = config.k, len(config.thetas), len(config.resolved_conditions())
+    # A list shorter than k gives the assisted atoms theirs, one per recipe condition.
+    k, given, assisted_count = config.k, len(config.thetas), len(config.dataset.conditions)
     if given not in (k, min(assisted_count, k)):
         raise ValueError(
             f"{path}: config key 'sparsity.theta' must be k = {k} thetas, or one per "
@@ -374,9 +347,15 @@ def save_metrics(reports: dict, path, kinds) -> None:
 
     ``reports`` maps mode name to MatchReport, and ``kinds`` labels the true
     sources they score. Writes JSON at ``path`` and a companion ``.csv``
-    with one row per true source, read off the first report.
+    with one row per true source, read off the first report; a ``path``
+    that is its own companion is refused before anything is written.
     """
     path = Path(path)
+    table = path.with_suffix(".csv")
+    if table == path:
+        raise ValueError(f"{path}: the per-source table would overwrite the report; "
+                         "give the report another suffix")
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {}
     for mode, report in reports.items():
         doc[mode] = {
@@ -394,4 +373,4 @@ def save_metrics(reports: dict, path, kinds) -> None:
         lines.append(
             f"{i},{kinds[i]},{est},{first.r_full[i]:.10g},{first.r_time[i]:.10g}"
         )
-    path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    table.write_text("\n".join(lines) + "\n")

@@ -133,7 +133,7 @@ def _loss(xv, x_sq: float, dv, sv, xs, gram) -> float:
     return loss
 
 
-def _check_shapes(x, dictionary, coefficients, spec, delta=None):
+def _check_shapes(x, dictionary, coefficients, spec, delta):
     t, n = x.values.shape
     k = dictionary.n_atoms
     if dictionary.values.shape[0] != t:
@@ -145,13 +145,12 @@ def _check_shapes(x, dictionary, coefficients, spec, delta=None):
     if spec.n_sources != k:
         raise ValueError("one sparsity budget per atom required")
     spec.validate_for(n)
-    if delta is not None:
-        if delta.n_times != t:
-            raise ValueError("task time courses must match data time samples")
-        if delta.n_courses != dictionary.assisted_count:
-            raise ValueError(
-                "task course count must equal the dictionary's assisted count"
-            )
+    if delta.n_times != t:
+        raise ValueError("task time courses must match data time samples")
+    if delta.n_courses != dictionary.assisted_count:
+        raise ValueError(
+            "task course count must equal the dictionary's assisted count"
+        )
 
 
 def run_iadl(

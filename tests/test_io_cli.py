@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from iadl import io as iadl_io
 from iadl.cli import main
-from iadl.hrf import estimate_c_delta
+from iadl.hrf import canonical_params, estimate_c_delta
 from iadl.initializer import initialize
 from iadl.io import (
     _SCHEMA,
@@ -269,6 +269,19 @@ def test_cli_evaluate_names_corrupt_file_and_key(
             verify_manifest(truth)
 
 
+def test_cli_evaluate_refuses_a_truth_that_lists_no_data(tmp_path, rng, capsys):
+    # a truth bundle that vouches for no x.iadl cannot tie a fit to its data
+    truth, fit = _evaluate_inputs(tmp_path, rng)
+    write_manifest(truth, [])
+    code = main(["evaluate", "--truth", str(truth), "--fit", str(fit),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {truth / 'manifest.json'}: key 'checksums' lists no 'x.iadl'\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
 # -- config ------------------------------------------------------------------------
 
 
@@ -389,7 +402,6 @@ def test_config_reads_the_recipe_record(tmp_path, name):
     assert config.dataset.n_times == recipe.n_times
     assert config.dataset.tr == recipe.tr
     assert config.dataset.conditions == recipe.conditions
-    assert config.resolved_conditions() == recipe.conditions
 
 
 def test_config_without_a_recipe_reads_the_default_record(tmp_path):
@@ -436,11 +448,17 @@ def test_cli_simulate_writes_the_recipe_record(tmp_path, name):
 
 
 def test_config_short_theta_list_counts_the_assisted_conditions(tmp_path):
-    # one explicit condition replaces the recipe's two, so one theta covers it
+    # the full recipe has three conditions, so three thetas cover them and
+    # the ladder fills the other 17 atoms; two thetas cover neither
+    assert len(RECIPES["full"].conditions) == 3
     path = tmp_path / "c.yaml"
-    path.write_text("k: 8\nassisted:\n  - onsets: [10]\n    durations: [6]\n"
-                    "sparsity:\n  theta: [95]\n")
-    assert load_config(path).resolve_thetas().tolist()[:2] == [95.0, 99.0]
+    path.write_text("k: 20\nsparsity:\n  theta: [95, 94, 93]\ndataset:\n  recipe: full\n")
+    thetas = load_config(path).resolve_thetas().tolist()
+    assert len(thetas) == 20 and thetas[:4] == [95.0, 94.0, 93.0, 99.0]
+    path.write_text("k: 20\nsparsity:\n  theta: [95, 94]\ndataset:\n  recipe: full\n")
+    message = f"{path}: config key 'sparsity.theta' must be k = 20 thetas, or one per"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
 
 
 def test_config_rejects_removed_solver_key(tmp_path):
@@ -458,16 +476,14 @@ def test_config_rejects_removed_solver_key(tmp_path):
         (_BUDGET + "alternate_hrf:\n  spread: 0.3\n  seed: 123\n", "'alternate_hrf'"),
         ("k: 2\nsparsity:\n  theta: [95, 90]\n  thetas: [95]\n", "'sparsity.thetas'"),
         ("k: 2\nsparsity:\n  phi: [12, 30]\n", "'sparsity.phi'"),
-        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitud: 2\n",
-         "'assisted[0].amplitud'"),
-        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n    amplitude: 1.0\n",
-         "'assisted[0].amplitude'"),
+        # the design is the recipe's; a config states no second one
+        (_BUDGET + "assisted:\n  - onsets: [10]\n    durations: [6]\n", "'assisted'"),
         (_BUDGET + "solver:\n  maxiters: 3\n", "'solver.maxiters'"),
         (_BUDGET + "init:\n  merge_corr_threshold: 0.95\n", "'init.merge_corr_threshold'"),
         (_BUDGET + "dataset:\n  snr: 3.0\n", "'dataset.snr'"),
     ],
     ids=["top_level", "section_name", "alternate_hrf", "sparsity", "sparsity_phi", "assisted",
-         "amplitude", "solver", "init", "dataset"],
+         "solver", "init", "dataset"],
 )
 def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
     # a misspelt key would otherwise leave its setting at the default
@@ -504,8 +520,6 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         (_BUDGET + "c_d: -1\n", "'c_d'"),
         (_BUDGET + "epsilon: 0\n", "'epsilon'"),
         (_BUDGET + "c_delta: -1\n", "'c_delta'"),
-        (_BUDGET + "assisted:\n  - onsets: [-10]\n    durations: [6]\n", "'assisted[0]'"),
-        (_BUDGET + "assisted:\n  - onsets: [10, 60]\n    durations: [6]\n", "'assisted[0]'"),
         ("k: 2\nsparsity:\n  theta: [150, 95]\n", "'sparsity.theta[0]'"),
         ("k: 2\nsparsity:\n  theta: [95, .inf]\n", "'sparsity.theta[1]'"),
         ("k: 2\nsparsity:\n  theta: [95, 94, 93]\n", "'sparsity.theta'"),
@@ -514,15 +528,16 @@ def test_config_refuses_unknown_key(tmp_path, capsys, text, key):
         (_BUDGET + "c_d: .inf\n", "'c_d'"),
         (_BUDGET + "c_delta: .inf\n", "'c_delta'"),
         (_BUDGET + "solver:\n  rel_obj_tol: .inf\n", "'solver.rel_obj_tol'"),
+        ("k: 2\nsparsity:\n  theta: 95\n", "'sparsity.theta'"),
     ],
     ids=["k_float", "k_bool", "seed_float", "max_iters_float", "max_iters_bool",
          "refine_iters_float", "rel_obj_tol", "snr_db", "c_delta", "c_d_bool", "epsilon_nan",
          "phi_entry", "k_zero", "seed_negative", "snr_db_minus_inf",
          "max_iters_zero", "rel_obj_tol_negative", "refine_iters_negative",
          "hrf_spread_one_and_a_half", "hrf_spread_negative", "c_d_negative", "epsilon_zero",
-         "c_delta_negative", "onset_negative", "durations_count", "theta_out_of_range",
+         "c_delta_negative", "theta_out_of_range",
          "theta_inf", "theta_too_many", "theta_short_list_wrong_length", "epsilon_inf",
-         "c_d_inf", "c_delta_inf", "rel_obj_tol_inf"],
+         "c_d_inf", "c_delta_inf", "rel_obj_tol_inf", "theta_not_a_list"],
 )
 def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     # a float count would be truncated and a boolean read as 0 or 1; a
@@ -533,6 +548,22 @@ def test_config_refuses_bad_number(tmp_path, capsys, text, key):
     with pytest.raises(ValueError, match=re.escape(f"{path}: config key {key} must be")):
         load_config(path)
     _assert_commands_refuse(path, key, capsys)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("- k: 2\n- sparsity: {theta: [95, 90]}\n", "top level must be a mapping"),
+        (_BUDGET + "solver: 3\n", "config section 'solver' must be a mapping"),
+    ],
+    ids=["top_level", "section"],
+)
+def test_config_refuses_a_document_that_is_not_a_mapping(tmp_path, capsys, text, named):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        load_config(path)
+    _assert_commands_refuse(path, named, capsys)
 
 
 def test_cli_fit_refuses_an_infinite_epsilon_before_writing(tmp_path, capsys, mini_start):
@@ -579,7 +610,7 @@ def test_readme_config_schema_loads(tmp_path):
     path = tmp_path / "schema.yaml"
     path.write_text(block)
     config = load_config(path)
-    assert config.k == 8 and config.conditions and config.thetas == (95, 94)
+    assert config.k == 8 and config.thetas == (95, 94)
     documented = set()
     for key, value in yaml.safe_load(block).items():
         documented |= {f"{key}.{name}" for name in value} if isinstance(value, dict) else {key}
@@ -821,6 +852,65 @@ def test_cli_fit_from_saved_start_matches_plain_fit(tmp_path, mini_start):
         assert {key: resolved[key] for key in settings} == settings
 
 
+def test_cli_simulate_at_zero_spread_uses_the_canonical_response(tmp_path):
+    # no response is drawn, so the data are the recipe's under the canonical
+    # response from the seed's first draw on
+    config = tmp_path / "c.yaml"
+    config.write_text(MINI_CONFIG.replace("hrf_spread: 0.3", "hrf_spread: 0.0")
+                      .replace("snr_db: 0.0", "snr_db: 10.0"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    expected = tmp_path / "expected.iadl"
+    save_matrix(RECIPES["mini"].generate(np.random.default_rng(7), snr_db=10.0).x.values, expected)
+    assert (data / "x.iadl").read_bytes() == expected.read_bytes()
+    meta = json.loads((data / "meta.json").read_text())
+    assert meta["subject_hrf"] == canonical_params().__dict__
+
+
+def _fit_without_data(tmp_path, config, data, start):
+    return ["fit", "--config", config, "--data", tmp_path / "missing"]
+
+
+def _init_without_data(tmp_path, config, data, start):
+    return ["init", "--config", config, "--data", tmp_path / "missing"]
+
+
+def _fit_from_a_start_on_other_data(tmp_path, config, data, start):
+    other = tmp_path / "other"
+    assert main(["simulate", "--config", str(config), "--seed", "99", "--out", str(other)]) == 0
+    return ["fit", "--config", config, "--data", other, "--init-dir", start]
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [(_fit_without_data, "x.iadl"), (_init_without_data, "x.iadl"),
+     (_fit_from_a_start_on_other_data, "start was computed from different data")],
+    ids=["fit_missing_data", "init_missing_data", "fit_start_on_other_data"],
+)
+def test_cli_failed_fit_or_init_leaves_no_out(tmp_path, capsys, mini_start, command, named):
+    config, data, start = mini_start
+    out = tmp_path / "out"
+    argv = command(tmp_path, config, data, start) + ["--out", out]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_cli_evaluate_refuses_a_report_its_table_would_overwrite(tmp_path, capsys, mini_start):
+    # the per-source table goes to the report's name with a .csv suffix
+    config, data, _ = mini_start
+    fit, report = tmp_path / "fit", tmp_path / "metrics" / "m.csv"
+    assert main(["fit", "--config", str(config), "--data", str(data), "--out", str(fit)]) == 0
+    capsys.readouterr()
+    code = main(["evaluate", "--truth", str(data), "--fit", str(fit), "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {report}: ")
+    assert not report.parent.exists()
+
+
 def test_library_start_from_the_config_matches_cli_init(mini_start):
     # a library caller handing config.init to initialize gets the start
     # `iadl init` saves from the same config, bit for bit
@@ -831,7 +921,7 @@ def test_library_start_from_the_config_matches_cli_init(mini_start):
     delta = TaskTimeCourses(load_matrix(data / "task_courses.iadl"))
     spec = ConstraintSpec(
         phi=config.resolve_phis(x.n_voxels),
-        c_delta=estimate_c_delta(config.resolved_conditions(), ds.n_times, ds.tr),
+        c_delta=estimate_c_delta(ds.conditions, ds.n_times, ds.tr),
         c_d=config.c_d,
         epsilon=config.epsilon,
     )
@@ -922,6 +1012,18 @@ def _start_with_other_theta(tmp_path, start, data):
     return "start was computed with a different 'phi'"
 
 
+def _no_manifest(tmp_path, start, data):
+    (start / "manifest.json").unlink()
+    return f"no manifest in {start}"
+
+
+def _settings_not_an_object(tmp_path, start, data):
+    manifest = json.loads((start / "manifest.json").read_text())
+    manifest["settings"] = list(manifest["settings"].items())
+    (start / "manifest.json").write_text(json.dumps(manifest))
+    return f"{start / 'manifest.json'}: key 'settings' is not an object"
+
+
 def _manifest_without(key):
     def spoil(tmp_path, start, data):
         manifest = json.loads((start / "manifest.json").read_text())
@@ -936,9 +1038,9 @@ def _manifest_without(key):
     "spoil",
     [_tamper_start, _start_on_other_data, _fit_with_other_k, _blind_start,
      _start_with_other_theta, _manifest_without("data_checksum"),
-     _manifest_without("settings")],
+     _manifest_without("settings"), _no_manifest, _settings_not_an_object],
     ids=["tampered", "other_data", "wrong_k", "blind_start", "other_theta",
-         "no_data_checksum", "no_settings"],
+         "no_data_checksum", "no_settings", "no_manifest", "settings_not_an_object"],
 )
 def test_cli_fit_refuses_a_start_that_does_not_fit(tmp_path, capsys, mini_start, spoil):
     config, data, saved = mini_start
