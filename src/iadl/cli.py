@@ -105,6 +105,17 @@ def _load_fit_inputs(config, data_dir, blind):
     return x, delta, spec, data_checksum
 
 
+def _refuse_out_over_inputs(out, *inputs) -> None:
+    """Refuse an ``--out`` that resolves to an input directory, given as
+    (flag, path) pairs: the command's manifest would overwrite the input's."""
+    target = Path(out).resolve()
+    for flag, path in inputs:
+        if path is not None and Path(path).resolve() == target:
+            raise ValueError(
+                f"--out {out} is the {flag} directory; its manifest.json would be overwritten"
+            )
+
+
 def _start_settings(config, spec, blind) -> dict:
     """The resolved settings a start depends on, as its manifest records
     them."""
@@ -121,6 +132,7 @@ def _start_settings(config, spec, blind) -> dict:
 
 
 def cmd_init(args) -> int:
+    _refuse_out_over_inputs(args.out, ("--data", args.data))
     config = _load_config(args)
     x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     d0, s0 = initialize(x, config.k, delta, spec, config.init)
@@ -160,6 +172,7 @@ def _load_start(init_dir, data_checksum, settings, delta):
 
 
 def cmd_fit(args) -> int:
+    _refuse_out_over_inputs(args.out, ("--data", args.data), ("--init-dir", args.init_dir))
     config = _load_config(args)
     x, delta, spec, data_checksum = _load_fit_inputs(config, args.data, args.blind)
     settings = _start_settings(config, spec, args.blind)

@@ -29,7 +29,8 @@ from .projections import (
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
 )
-from .solver import _atom_balls, _block_step, _dictionary_step
+from ._shares import _share_runner
+from .solver import _atom_balls, _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
 
@@ -180,11 +181,12 @@ def refine_full_sparsity(
     dv = dbar.values
     sv = sbar.values
     balls = _atom_balls(delta.values, dv.shape[1], spec)
-    for _ in range(cfg.refine_iters):
-        weights = compute_weights(sv, spec.epsilon)
-        step = _block_step(dv.T @ xv, dv.T @ dv, sv)
-        sv = project_weighted_l1_matrix_ball(step, weights, phi_total)
-        dv = _dictionary_step(xv, sv, dv, balls)[0]
+    with _share_runner() as run:
+        for _ in range(cfg.refine_iters):
+            weights = compute_weights(sv, spec.epsilon)
+            step = _coefficient_step(xv, dv, sv, run)
+            sv = project_weighted_l1_matrix_ball(step, weights, phi_total)
+            dv = _dictionary_step(xv, sv, dv, balls, run)[0]
     return Dictionary(dv, assisted_count=delta.n_courses), CoefficientMatrix(sv)
 
 

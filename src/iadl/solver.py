@@ -10,6 +10,16 @@ recorded objective does not rise while S_k lies in the balls its own weights
 define (see ``_iteration``). It is read off the products X S^T and S S^T
 that the dictionary step forms, and evaluated directly only when it is too
 small for that expansion.
+
+The two big products of an iteration run in contiguous shares fixed by the
+problem's shape (``_product_cuts``): D^T X by voxel columns, each column
+share also forming its columns of the step point, and X S^T by time rows.
+Each share keeps its whole sum and writes its own slice of one output. The
+calling thread runs the first share and, when the process has a second
+usable core, a thread that lives for the solve the second; on one core both
+run in turn, so no bit depends on the core count. Small problems are not
+split. The Gram matrices, the loss and both projections stay on the calling
+thread; the shares call NumPy only.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shares import _cuts, _in_turn, _share_runner
 from .projections import compute_weights, project_similarity_ball, project_weighted_l1_rows
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
@@ -38,6 +49,16 @@ _SCALE_FLOOR = 1e-12
 # evaluated directly instead; comparing with ||X||^2 alone would keep the
 # rounding of a model far larger than the data.
 _EXPANDED_LOSS_FLOOR = 1e-4
+
+# D^T X and X S^T are split in two once T N K reaches this many multiply-adds
+# (the full recipe's 60 M, not a six-subject mini group's 17.3 M nor one mini
+# subject's 1.9 M), cut at half the split axis rounded down to a multiple of
+# _CUT_ALIGN. Below it a share takes about a millisecond, the order of waking
+# a thread on a busy two-core host, so a split there made the mini group's
+# solve time swing from run to run with the host's load. On OpenBLAS the cuts
+# keep the bits of the whole products at the full recipe's shape.
+_SPLIT_WORK = 1 << 25
+_CUT_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -67,12 +88,49 @@ class SolveResult:
     trace: SolveTrace
 
 
-def _block_step(cross, gram, anchor):
-    """One majorized block step: the scaled gradient step
-    ``(cross + (cI - gram) @ anchor) / c`` from ``anchor``, with ``c`` the
-    step constant of ``gram``. The caller projects the point it returns."""
+def _step_terms(gram):
+    """The step constant ``c`` of ``gram``, its top eigenvalue times the
+    margin, and the matrix ``cI - gram`` that carries the anchor."""
     c = max(_SCALE_MARGIN * float(np.linalg.eigvalsh(gram)[-1]), _SCALE_FLOOR)
-    return (cross + (c * np.eye(gram.shape[0]) - gram) @ anchor) / c
+    return c, c * np.eye(gram.shape[0]) - gram
+
+
+def _block_step(cross, anchor, terms, out=None):
+    """One majorized block step: the scaled gradient step
+    ``(cross + (cI - gram) @ anchor) / c`` from ``anchor``, with ``terms``
+    the pair ``_step_terms(gram)``, written into ``out`` when it is given
+    (an array apart from ``cross``). The caller projects the point it
+    returns."""
+    c, carry = terms
+    out = np.matmul(carry, anchor, out=out)
+    out += cross
+    out /= c
+    return out
+
+
+def _product_cuts(n: int, xv, k: int) -> list[int]:
+    """The shares of a length-``n`` axis of the products of a T x N ``xv``
+    and ``k`` atoms: two halves cut on a multiple of ``_CUT_ALIGN`` once
+    T N K reaches ``_SPLIT_WORK``, else one share."""
+    parts = 2 if xv.size * k >= _SPLIT_WORK else 1
+    return _cuts(n, parts, _CUT_ALIGN)
+
+
+def _coefficient_step(xv, dv, sv, run=_in_turn):
+    """The block step of S against D, with D^T X and the step point formed
+    share by share over the voxel columns of ``_product_cuts``, each into
+    its own columns of arrays the calling thread holds; ``run(task,
+    bounds)`` runs the shares."""
+    terms = _step_terms(dv.T @ dv)
+    dt = dv.T
+    cross, out = np.empty(sv.shape), np.empty(sv.shape)
+
+    def share(lo, hi):
+        np.matmul(dt, xv[:, lo:hi], out=cross[:, lo:hi])
+        _block_step(cross[:, lo:hi], sv[:, lo:hi], terms, out=out[:, lo:hi])
+
+    run(share, _product_cuts(xv.shape[1], xv, dv.shape[1]))
+    return out
 
 
 def _atom_balls(deltav, k: int, spec: ConstraintSpec):
@@ -84,36 +142,41 @@ def _atom_balls(deltav, k: int, spec: ConstraintSpec):
     return centres, radii
 
 
-def _dictionary_step(xv, sv, dv, balls):
+def _dictionary_step(xv, sv, dv, balls, run=_in_turn):
     """The block step of D^T against S^T, every atom projected onto its ball
-    from ``_atom_balls``.
+    from ``_atom_balls``. X S^T is formed share by share over the time rows
+    of ``_product_cuts``, each into its own rows; ``run(task, bounds)`` runs
+    the shares. S S^T, a reduction over the voxels, is formed whole.
 
     Returns the new dictionary, its worst ball violation, and the products
     X S^T and S S^T it was built from, which give the loss at (D_new, S).
     """
     centres, radii = balls
-    xs = xv @ sv.T
-    gram = sv @ sv.T
-    d_t = project_similarity_ball(_block_step(xs.T, gram, dv.T), centres, radii)
+    xs = np.empty((xv.shape[0], sv.shape[0]))
+    st = sv.T
+    run(lambda lo, hi: np.matmul(xv[lo:hi], st, out=xs[lo:hi]),
+        _product_cuts(xv.shape[0], xv, sv.shape[0]))
+    gram = sv @ st
+    d_t = project_similarity_ball(_block_step(xs.T, dv.T, _step_terms(gram)), centres, radii)
     excess = np.einsum("ij,ij->i", d_t - centres, d_t - centres) - radii
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
 
 
-def _iteration(xv, x_sq: float, dv, sv, balls, spec: ConstraintSpec):
+def _iteration(xv, x_sq: float, dv, sv, balls, spec: ConstraintSpec, run=_in_turn):
     """One full iteration from (D, S): the coefficient step from S onto the
     row balls that S's weights define, then the dictionary step onto the
-    atoms' ``balls``. Returns the new S and D, their loss and the worst ball
-    violation."""
+    atoms' ``balls``, their products split by ``run``. Returns the new S and
+    D, their loss and the worst ball violation."""
     # Weights come from the previous iterate S. The objective is
     # non-increasing while S lies in the ball its weights define,
     # sum |s| / (|s| + epsilon) <= phi; an entry entering the support near
     # epsilon can break that. Reweighting from the post-gradient matrix
     # moves the constraint set away from S and breaks monotonicity.
     weights = compute_weights(sv, spec.epsilon)
-    s_new = project_weighted_l1_rows(_block_step(dv.T @ xv, dv.T @ dv, sv), weights, spec.phi)
+    s_new = project_weighted_l1_rows(_coefficient_step(xv, dv, sv, run), weights, spec.phi)
     wl1 = np.einsum("ij,ij->i", weights, np.abs(s_new))
     viol_s = float(np.max(np.maximum(wl1 - spec.phi, 0.0)))
-    d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, balls)
+    d_new, viol_d, xs, gram = _dictionary_step(xv, s_new, dv, balls, run)
     return s_new, d_new, _loss(xv, x_sq, d_new, s_new, xs, gram), max(viol_s, viol_d)
 
 
@@ -190,15 +253,16 @@ def run_iadl(
     violations = []
     x_sq = float(np.vdot(xv, xv))
     stop_reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        sv, dv, obj, viol = _iteration(xv, x_sq, dv, sv, balls, spec)
-        objective.append(obj)
-        violations.append(viol)
-        if len(objective) > 1 and (
-            abs(objective[-2] - obj) / max(objective[-2], 1e-30) < cfg.rel_obj_tol
-        ):
-            stop_reason = "tolerance"
-            break
+    with _share_runner() as run:
+        for _ in range(cfg.max_iters):
+            sv, dv, obj, viol = _iteration(xv, x_sq, dv, sv, balls, spec, run)
+            objective.append(obj)
+            violations.append(viol)
+            if len(objective) > 1 and (
+                abs(objective[-2] - obj) / max(objective[-2], 1e-30) < cfg.rel_obj_tol
+            ):
+                stop_reason = "tolerance"
+                break
 
     trace = SolveTrace(
         objective=np.array(objective),

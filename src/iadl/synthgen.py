@@ -15,19 +15,19 @@ dataset. The calibration holds four T x N arrays, the clean mixture, the
 two normal draws and one work array. It forms the noisy data in blocks, each
 in the slice it is written to, and its last pass writes X over the first
 draw. Each full-size pass is split across the cores the process may run on,
-one thread each; the passes are elementwise, so the data do not depend on
-the core count.
+one share and one thread each, by the runner the solver also uses
+(``_shares``); the passes are elementwise, so the data do not depend on the
+core count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
+from . import _shares
 from .hrf import (
     ConditionSpec,
     TwoGammaParams,
@@ -170,13 +170,6 @@ def transient_time_course(n_times: int, h, rng) -> np.ndarray:
     return task_time_course(events, h)
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _add_rician_noise(clean, target_power, rng):
     """Magnitude noise around a baseline-lifted intensity; returns the
     noisy data and sigma.
@@ -204,7 +197,8 @@ def _add_rician_noise(clean, target_power, rng):
     Each full-size pass (the square of g1, every evaluation and the last
     pass) is split into one contiguous share per usable core: the calling
     thread walks the first, and a thread pool that lives for the call the
-    others, each worker with one scratch block of its own. The passes are
+    others (``_shares._share_runner``), each share with one scratch block of
+    its own, allocated up front by the calling thread. The passes are
     elementwise and the shares disjoint, and the means, the secant and the
     stop tests run on the calling thread, so X and sigma keep their bits at
     any core count.
@@ -217,16 +211,20 @@ def _add_rician_noise(clean, target_power, rng):
     work = np.empty(clean.shape)
     flat_clean, flat_g1, flat_g2, flat_work = (a.reshape(-1) for a in (clean, g1, g2, work))
     size = clean.size
-    # no more workers than blocks, sharing two blocks of scratch
-    workers = min(_usable_cores(), -(-size // _NOISE_BLOCK))
+    # one share per usable core, no more than blocks, sharing two blocks of scratch
+    workers = min(_shares._usable_cores(), -(-size // _NOISE_BLOCK))
     block = min(2 * _NOISE_BLOCK // workers, -(-size // workers))
-    bounds = [size * i // workers for i in range(workers + 1)]
-    scratch = [np.empty(block) for _ in range(workers)]
+    bounds = _shares._cuts(size, workers)
+    scratch = {start: np.empty(block) for start in bounds[:-1]}
 
-    def share(i, task):
-        # task(lo, hi, scratch) over the i-th share, a block at a time
-        for lo in range(bounds[i], bounds[i + 1], block):
-            task(lo, min(lo + block, bounds[i + 1]), scratch[i])
+    def in_blocks(task):
+        # task(lo, hi, buf) over every share, a block at a time, each share
+        # with its own scratch block
+        def share(start, stop):
+            for lo in range(start, stop, block):
+                task(lo, min(lo + block, stop), scratch[start])
+
+        run(share, bounds)
 
     def noisy_block(sigma, lo, hi, x, buf):
         # x = hypot(clean + baseline + sigma g1, sigma g2) - baseline over
@@ -246,26 +244,19 @@ def _add_rician_noise(clean, target_power, rng):
         np.square(x, out=x)
 
     target = float(np.sqrt(target_power))
-    # the pool starts a thread only when a share is submitted to it
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-
-        def run(task):
-            others = [pool.submit(share, i, task) for i in range(1, workers)]
-            share(0, task)
-            for future in others:
-                future.result()
+    with _shares._share_runner() as run:
 
         def amplitude(sigma):
             # the RMS of X - clean; np.mean sums pairwise over the whole
             # work array, independent of the shares, the blocks and the BLAS
-            run(lambda lo, hi, buf: power_block(sigma, lo, hi, buf))
+            in_blocks(lambda lo, hi, buf: power_block(sigma, lo, hi, buf))
             return float(np.sqrt(np.mean(work)))
 
         def noisy(sigma):
-            run(lambda lo, hi, buf: noisy_block(sigma, lo, hi, flat_g1[lo:hi], buf))
+            in_blocks(lambda lo, hi, buf: noisy_block(sigma, lo, hi, flat_g1[lo:hi], buf))
             return g1, sigma
 
-        run(lambda lo, hi, buf: np.square(flat_g1[lo:hi], out=flat_work[lo:hi]))
+        run(lambda lo, hi: np.square(flat_g1[lo:hi], out=flat_work[lo:hi]), bounds)
         sigma = target / float(np.sqrt(np.mean(work)))
         prev_sigma, prev_amp = 0.0, 0.0
         for _ in range(_MAX_POWER_EVALS):

@@ -1055,3 +1055,27 @@ def test_cli_fit_refuses_a_start_that_does_not_fit(tmp_path, capsys, mini_start,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("init", "--data"), ("fit", "--data"), ("fit", "--init-dir")],
+    ids=["init_over_data", "fit_over_data", "fit_over_start"],
+)
+def test_cli_refuses_an_out_that_is_an_input(tmp_path, capsys, mini_start, command, flag):
+    # the command's manifest would replace the input's, which vouches for
+    # its files; the refusal comes before anything is written
+    config, data, start = mini_start
+    data, start = shutil.copytree(data, tmp_path / "data"), shutil.copytree(start, tmp_path / "start")
+    inputs = {"--data": data, "--init-dir": start}
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    argv = [command, "--config", config, "--data", data]
+    if command == "fit":
+        argv += ["--init-dir", start]
+    # the same directory under another spelling
+    argv += ["--out", inputs[flag] / ".." / inputs[flag].name]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"is the {flag} directory" in err
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before

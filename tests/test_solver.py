@@ -3,14 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadl import _shares
 from iadl.initializer import InitConfig, initialize
 from iadl.projections import compute_weights, project_weighted_l1_rows
 from iadl.solver import (
     _EXPANDED_LOSS_FLOOR,
+    _SPLIT_WORK,
     SolverConfig,
     _atom_balls,
     _block_step,
     _dictionary_step,
+    _step_terms,
     run_iadl,
 )
 from iadl.synthgen import mini_benchmark
@@ -58,7 +61,7 @@ def make_instance(rng, t=12, n=30, k=4, m=2, phi=None, noise=0.05, budget_factor
 def coefficient_update(x, d, s, spec):
     """One majorized coefficient step under the solver's row-ball projection."""
     xv, dv, sv = x.values, d.values, s.values
-    step = _block_step(dv.T @ xv, dv.T @ dv, sv)
+    step = _block_step(dv.T @ xv, sv, _step_terms(dv.T @ dv))
     out = project_weighted_l1_rows(step, compute_weights(sv, spec.epsilon), spec.phi)
     return CoefficientMatrix(out)
 
@@ -399,7 +402,7 @@ def test_one_iteration_is_the_plain_step(rng):
     x, d0, s0, delta, spec = make_instance(rng, t=20, n=80, k=5, m=2)
     res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=1, rel_obj_tol=0.0))
     xv, dv, sv = x.values, d0.values, s0.values
-    step = _block_step(dv.T @ xv, dv.T @ dv, sv)
+    step = _block_step(dv.T @ xv, sv, _step_terms(dv.T @ dv))
     s1 = project_weighted_l1_rows(step, compute_weights(sv, spec.epsilon), spec.phi)
     d1 = _dictionary_step(x.values, s1, d0.values, _atom_balls(delta.values, d0.n_atoms, spec))[0]
     np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
@@ -551,6 +554,45 @@ def test_run_iadl_deterministic(rng):
     np.testing.assert_array_equal(res1.dictionary.values, res2.dictionary.values)
     np.testing.assert_array_equal(res1.coefficients.values, res2.coefficients.values)
     np.testing.assert_array_equal(res1.trace.objective, res2.trace.objective)
+
+
+def _split_instance():
+    # just above the split threshold: D^T X and X S^T run in two shares
+    x, d0, s0, delta, spec = make_instance(np.random.default_rng(11), t=128, n=16_400, k=16)
+    assert x.values.size * d0.n_atoms >= _SPLIT_WORK
+    return x, d0, s0, delta, spec
+
+
+def test_start_and_solve_do_not_depend_on_the_core_count(monkeypatch):
+    # the shares are cut by shape: one core walks the same shares in turn
+    x, d0, s0, delta, spec = _split_instance()
+    outputs = []
+    for cores in (1, 2, 7):
+        monkeypatch.setattr(_shares, "_usable_cores", lambda cores=cores: cores)
+        d_init, s_init = initialize(x, d0.n_atoms, delta, spec, InitConfig(refine_iters=3))
+        res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=3, rel_obj_tol=0.0))
+        arrays = (d_init.values, s_init.values, res.dictionary.values,
+                  res.coefficients.values, res.trace.objective)
+        outputs.append([a.tobytes() for a in arrays])
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_a_solve_below_the_split_threshold_starts_no_thread(rng, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(_shares, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_shares, "ThreadPoolExecutor", NoPool)
+    # the mini recipe's shape, 150 x 1 600 with K = 8
+    x, d0, s0, delta, spec = make_instance(rng, t=150, n=1600, k=8)
+    assert x.values.size * d0.n_atoms < _SPLIT_WORK
+    initialize(x, d0.n_atoms, delta, spec, InitConfig(refine_iters=3))
+    run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=3, rel_obj_tol=0.0))
+    # above it, the same solve on two cores starts one
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_iadl(*_split_instance(), SolverConfig(max_iters=1))
 
 
 def test_run_iadl_forms_no_data_sized_array(rng, traced_peak):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kurtosis
 
-from iadl import synthgen
+from iadl import _shares, synthgen
 from iadl.synthgen import (
     ARTIFACT_GAUSSIAN,
     ARTIFACT_KINDS,
@@ -189,7 +189,7 @@ def test_noise_calibration_matches_dense_reference(build, snr_db, seed, cores, m
     # each pass is split into one share per core the calibration sees (the
     # machine's own count when None); 7 shares split the blocks unevenly
     if cores is not None:
-        monkeypatch.setattr(synthgen, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(_shares, "_usable_cores", lambda: cores)
     clean = _clean(build(np.random.default_rng(seed), snr_db=np.inf))
     sigma, _ = assert_calibration_matches_dense_reference(clean, snr_db, seed)
     assert sigma > 0.0
@@ -223,7 +223,7 @@ def test_noise_calibration_holds_three_full_size_arrays(rng, traced_peak):
 
 def test_noise_calibration_workers_share_the_scratch(rng, traced_peak, monkeypatch):
     # seven workers hold two blocks of scratch between them, not one each
-    monkeypatch.setattr(synthgen, "_usable_cores", lambda: 7)
+    monkeypatch.setattr(_shares, "_usable_cores", lambda: 7)
     clean = rng.standard_normal((300, 2000))
     (_, sigma), peak = traced_peak(lambda: synthgen._add_rician_noise(clean, 0.5, rng))
     assert sigma > 0.0
