@@ -10,7 +10,6 @@ from .hrf import (
     ConditionSpec,
     TwoGammaParams,
     canonical_hrf,
-    canonical_params,
     estimate_c_delta,
     sample_hrf,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "TaskTimeCourses",
     "TwoGammaParams",
     "canonical_hrf",
-    "canonical_params",
     "estimate_c_delta",
     "initialize",
     "phi_from_theta",

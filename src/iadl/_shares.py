@@ -3,10 +3,9 @@
 A pass over a range is cut into contiguous shares ``[bounds[i],
 bounds[i + 1])``, and a task writes each share's part of the result into
 its own slice of one output. The calling thread runs the first share and a
-thread pool the others; on one usable core the same shares run in turn on
-the calling thread. So the result does not depend on the core count when
-the cut points do not: the solver cuts by the problem's shape, and the
-noise calibration's passes are elementwise.
+thread pool the others. So the result does not depend on the core count, nor
+on which thread runs a share, when the cut points do not: the solver cuts by
+the problem's shape, and the noise calibration's passes are elementwise.
 
 Tasks call NumPy only, never a public ``iadl`` name: a tracer that wraps
 those names keeps one span stack for all threads.
@@ -34,42 +33,24 @@ def _cuts(n: int, parts: int, align: int = 1) -> list[int]:
     return sorted({0, *inner, n})
 
 
-def _in_turn(task, bounds) -> None:
-    """Call ``task(lo, hi)`` on each share, in order, on the calling thread."""
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        task(lo, hi)
-
-
 @contextmanager
 def _share_runner():
     """Yield ``run(task, bounds)``, which calls ``task(lo, hi)`` on each
-    share and returns once every share has run.
+    share and returns, or raises a share's error, once every share has run.
 
-    The calling thread runs the first share and a thread pool the others,
-    one thread per further usable core. The pool lives for the context and
-    starts on the first pass with a second share, and only if the process
-    has a second usable core; otherwise every share runs in turn on the
-    calling thread.
+    The calling thread runs the first share and a pool that lives for the
+    context the others, with one thread per further usable core (at least
+    one). The pool starts a thread only when a share is submitted to it, so
+    a context whose passes are each one share starts none.
     """
-    cores = _usable_cores()
-    pool = None
+    with ThreadPoolExecutor(max_workers=max(_usable_cores() - 1, 1)) as pool:
 
-    def run(task, bounds):
-        nonlocal pool
-        if cores == 1 or len(bounds) < 3:
-            _in_turn(task, bounds)
-            return
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=cores - 1)
-        others = [pool.submit(task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        try:
-            task(bounds[0], bounds[1])
-        finally:
-            for future in others:
-                future.result()
+        def run(task, bounds):
+            others = [pool.submit(task, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            try:
+                task(bounds[0], bounds[1])
+            finally:
+                for future in others:
+                    future.result()
 
-    try:
         yield run
-    finally:
-        if pool is not None:
-            pool.shutdown()

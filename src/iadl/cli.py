@@ -18,7 +18,7 @@ import numpy as np
 from . import io as iadl_io
 from . import synthgen
 from .evaluation import FULL_SOURCE, TIME_COURSE, atlas_fbn_sparsity, match_and_score
-from .hrf import canonical_hrf, canonical_params, estimate_c_delta, sample_hrf, task_courses
+from .hrf import TwoGammaParams, canonical_hrf, estimate_c_delta, sample_hrf, task_courses
 from .initializer import initialize
 from .solver import run_iadl
 from .types import (
@@ -46,7 +46,7 @@ def cmd_simulate(args) -> int:
     if ds_cfg.hrf_spread > 0:
         subject_hrf = sample_hrf(rng, ds_cfg.hrf_spread)
     else:
-        subject_hrf = canonical_params()
+        subject_hrf = TwoGammaParams()
     recipe = synthgen.RECIPES[ds_cfg.recipe]
     dataset = recipe.generate(rng, snr_db=ds_cfg.snr_db, hrf_params=subject_hrf)
     # the knowledge handed to the solver: the task courses under the
@@ -114,6 +114,21 @@ def _refuse_out_over_inputs(out, *inputs) -> None:
             raise ValueError(
                 f"--out {out} is the {flag} directory; its manifest.json would be overwritten"
             )
+
+
+def _refuse_report_over_inputs(out, *inputs) -> None:
+    """Refuse a report ``out`` that, or whose ``.csv`` table, resolves to the
+    manifest or a listed file of an input directory, given as (directory,
+    checksums) pairs: it would replace the input and break its checksums."""
+    report = Path(out)
+    for written in (report, report.with_suffix(".csv")):
+        target = written.resolve()
+        for directory, checksums in inputs:
+            for name in ("manifest.json", *checksums):
+                if (directory / name).resolve() == target:
+                    raise ValueError(
+                        f"--out {out} would write {written} over the input {directory / name}"
+                    )
 
 
 def _start_settings(config, spec, blind) -> dict:
@@ -217,7 +232,8 @@ def cmd_evaluate(args) -> int:
     truth_dir = Path(args.truth)
     fit_dir = Path(args.fit)
     truth_checksums = iadl_io.verify_manifest(truth_dir)["checksums"]
-    iadl_io.verify_manifest(fit_dir)
+    fit_checksums = iadl_io.verify_manifest(fit_dir)["checksums"]
+    _refuse_report_over_inputs(args.out, (truth_dir, truth_checksums), (fit_dir, fit_checksums))
     if "x.iadl" not in truth_checksums:
         raise ValueError(f"{truth_dir / 'manifest.json'}: key 'checksums' lists no 'x.iadl'")
     resolved = iadl_io.read_json_object(

@@ -51,10 +51,6 @@ class TwoGammaParams:
                 raise ValueError(f"{delay} must not be below {dispersion}")
 
 
-def canonical_params() -> TwoGammaParams:
-    return TwoGammaParams()
-
-
 def default_alternate_hrf() -> TwoGammaParams:
     """Fixed alternative response used to gauge plausible subject variability.
 
@@ -119,7 +115,7 @@ def hrf_curve(params: TwoGammaParams, dt: float) -> np.ndarray:
 
 
 def canonical_hrf(dt: float) -> np.ndarray:
-    return hrf_curve(canonical_params(), dt)
+    return hrf_curve(TwoGammaParams(), dt)
 
 
 def sample_hrf(rng: np.random.Generator, spread: float) -> TwoGammaParams:
@@ -131,7 +127,7 @@ def sample_hrf(rng: np.random.Generator, spread: float) -> TwoGammaParams:
     the first rule resamples there."""
     if not 0.0 <= spread < 1.0:
         raise ValueError("spread must lie in [0, 1)")
-    base = canonical_params()
+    base = TwoGammaParams()
     for _ in range(1000):
         drawn = {}
         for field in fields(TwoGammaParams):

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import _shares
 from .evaluation import _course_table
 from .projections import (
     compute_weights,
     project_weighted_l1_matrix_ball,
     project_weighted_l1_rows,
 )
-from ._shares import _share_runner
 from .solver import _atom_balls, _coefficient_step, _dictionary_step
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
@@ -181,7 +181,7 @@ def refine_full_sparsity(
     dv = dbar.values
     sv = sbar.values
     balls = _atom_balls(delta.values, dv.shape[1], spec)
-    with _share_runner() as run:
+    with _shares._share_runner() as run:
         for _ in range(cfg.refine_iters):
             weights = compute_weights(sv, spec.epsilon)
             step = _coefficient_step(xv, dv, sv, run)

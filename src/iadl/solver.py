@@ -15,9 +15,8 @@ The two big products of an iteration run in contiguous shares fixed by the
 problem's shape (``_product_cuts``): D^T X by voxel columns, each column
 share also forming its columns of the step point, and X S^T by time rows.
 Each share keeps its whole sum and writes its own slice of one output. The
-calling thread runs the first share and, when the process has a second
-usable core, a thread that lives for the solve the second; on one core both
-run in turn, so no bit depends on the core count. Small problems are not
+calling thread runs the first share and a thread that lives for the solve
+the second, so no bit depends on the core count. Small problems are not
 split. The Gram matrices, the loss and both projections stay on the calling
 thread; the shares call NumPy only.
 """
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shares import _cuts, _in_turn, _share_runner
+from . import _shares
 from .projections import compute_weights, project_similarity_ball, project_weighted_l1_rows
 from .types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary, TaskTimeCourses
 
@@ -113,10 +112,10 @@ def _product_cuts(n: int, xv, k: int) -> list[int]:
     and ``k`` atoms: two halves cut on a multiple of ``_CUT_ALIGN`` once
     T N K reaches ``_SPLIT_WORK``, else one share."""
     parts = 2 if xv.size * k >= _SPLIT_WORK else 1
-    return _cuts(n, parts, _CUT_ALIGN)
+    return _shares._cuts(n, parts, _CUT_ALIGN)
 
 
-def _coefficient_step(xv, dv, sv, run=_in_turn):
+def _coefficient_step(xv, dv, sv, run):
     """The block step of S against D, with D^T X and the step point formed
     share by share over the voxel columns of ``_product_cuts``, each into
     its own columns of arrays the calling thread holds; ``run(task,
@@ -142,7 +141,7 @@ def _atom_balls(deltav, k: int, spec: ConstraintSpec):
     return centres, radii
 
 
-def _dictionary_step(xv, sv, dv, balls, run=_in_turn):
+def _dictionary_step(xv, sv, dv, balls, run):
     """The block step of D^T against S^T, every atom projected onto its ball
     from ``_atom_balls``. X S^T is formed share by share over the time rows
     of ``_product_cuts``, each into its own rows; ``run(task, bounds)`` runs
@@ -162,7 +161,7 @@ def _dictionary_step(xv, sv, dv, balls, run=_in_turn):
     return np.ascontiguousarray(d_t.T), max(float(np.max(excess)), 0.0), xs, gram
 
 
-def _iteration(xv, x_sq: float, dv, sv, balls, spec: ConstraintSpec, run=_in_turn):
+def _iteration(xv, x_sq: float, dv, sv, balls, spec: ConstraintSpec, run):
     """One full iteration from (D, S): the coefficient step from S onto the
     row balls that S's weights define, then the dictionary step onto the
     atoms' ``balls``, their products split by ``run``. Returns the new S and
@@ -253,7 +252,7 @@ def run_iadl(
     violations = []
     x_sq = float(np.vdot(xv, xv))
     stop_reason = "max_iters"
-    with _share_runner() as run:
+    with _shares._share_runner() as run:
         for _ in range(cfg.max_iters):
             sv, dv, obj, viol = _iteration(xv, x_sq, dv, sv, balls, spec, run)
             objective.append(obj)

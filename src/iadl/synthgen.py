@@ -31,7 +31,6 @@ from . import _shares
 from .hrf import (
     ConditionSpec,
     TwoGammaParams,
-    canonical_params,
     hrf_curve,
     task_courses,
     task_time_course,
@@ -197,11 +196,10 @@ def _add_rician_noise(clean, target_power, rng):
     Each full-size pass (the square of g1, every evaluation and the last
     pass) is split into one contiguous share per usable core: the calling
     thread walks the first, and a thread pool that lives for the call the
-    others (``_shares._share_runner``), each share with one scratch block of
-    its own, allocated up front by the calling thread. The passes are
-    elementwise and the shares disjoint, and the means, the secant and the
-    stop tests run on the calling thread, so X and sigma keep their bits at
-    any core count.
+    others (``_shares._share_runner``), each share with one scratch block
+    that it allocates for the pass. The passes are elementwise and the shares
+    disjoint, and the means, the secant and the stop tests run on the calling
+    thread, so X and sigma keep their bits at any core count.
     """
     if target_power == 0.0:
         return clean.copy(), 0.0
@@ -215,56 +213,45 @@ def _add_rician_noise(clean, target_power, rng):
     workers = min(_shares._usable_cores(), -(-size // _NOISE_BLOCK))
     block = min(2 * _NOISE_BLOCK // workers, -(-size // workers))
     bounds = _shares._cuts(size, workers)
-    scratch = {start: np.empty(block) for start in bounds[:-1]}
 
-    def in_blocks(task):
-        # task(lo, hi, buf) over every share, a block at a time, each share
-        # with its own scratch block
+    def noisy_pass(sigma, last):
+        # X = hypot(clean + baseline + sigma g1, sigma g2) - baseline, a block
+        # at a time in the slice it is written to: g1's on the last pass, which
+        # is read before it is written, else the work array's, where X becomes
+        # (X - clean)^2
+        out = flat_g1 if last else flat_work
+
         def share(start, stop):
+            buf = np.empty(block)
             for lo in range(start, stop, block):
-                task(lo, min(lo + block, stop), scratch[start])
+                hi = min(lo + block, stop)
+                x, y = out[lo:hi], buf[: hi - lo]
+                np.multiply(flat_g1[lo:hi], sigma, out=y)
+                np.add(flat_clean[lo:hi], baseline, out=x)
+                np.add(x, y, out=x)
+                np.multiply(flat_g2[lo:hi], sigma, out=y)
+                np.hypot(x, y, out=x)
+                np.subtract(x, baseline, out=x)
+                if not last:
+                    np.subtract(x, flat_clean[lo:hi], out=x)
+                    np.square(x, out=x)
 
         run(share, bounds)
 
-    def noisy_block(sigma, lo, hi, x, buf):
-        # x = hypot(clean + baseline + sigma g1, sigma g2) - baseline over
-        # [lo, hi); x may be g1's own slice, which is read before it is written
-        y = buf[: hi - lo]
-        np.multiply(flat_g1[lo:hi], sigma, out=y)
-        np.add(flat_clean[lo:hi], baseline, out=x)
-        np.add(x, y, out=x)
-        np.multiply(flat_g2[lo:hi], sigma, out=y)
-        np.hypot(x, y, out=x)
-        np.subtract(x, baseline, out=x)
-
-    def power_block(sigma, lo, hi, buf):
-        x = flat_work[lo:hi]
-        noisy_block(sigma, lo, hi, x, buf)
-        np.subtract(x, flat_clean[lo:hi], out=x)
-        np.square(x, out=x)
-
     target = float(np.sqrt(target_power))
     with _shares._share_runner() as run:
-
-        def amplitude(sigma):
-            # the RMS of X - clean; np.mean sums pairwise over the whole
-            # work array, independent of the shares, the blocks and the BLAS
-            in_blocks(lambda lo, hi, buf: power_block(sigma, lo, hi, buf))
-            return float(np.sqrt(np.mean(work)))
-
-        def noisy(sigma):
-            in_blocks(lambda lo, hi, buf: noisy_block(sigma, lo, hi, flat_g1[lo:hi], buf))
-            return g1, sigma
-
         run(lambda lo, hi: np.square(flat_g1[lo:hi], out=flat_work[lo:hi]), bounds)
         sigma = target / float(np.sqrt(np.mean(work)))
         prev_sigma, prev_amp = 0.0, 0.0
         for _ in range(_MAX_POWER_EVALS):
             if abs(sigma - prev_sigma) < _SIGMA_STEP_RTOL * sigma:
-                return noisy(sigma)
-            amp = amplitude(sigma)
+                break
+            noisy_pass(sigma, last=False)
+            # the RMS of X - clean; np.mean sums pairwise over the whole work
+            # array, independent of the shares, the blocks and the BLAS
+            amp = float(np.sqrt(np.mean(work)))
             if amp == target:
-                return noisy(sigma)
+                break
             if amp == prev_amp:
                 raise RuntimeError(
                     f"noise calibration stalled: sigma {prev_sigma!r} and {sigma!r} "
@@ -273,10 +260,13 @@ def _add_rician_noise(clean, target_power, rng):
             step = (target - amp) * (sigma - prev_sigma) / (amp - prev_amp)
             prev_sigma, prev_amp = sigma, amp
             sigma += step
-    raise RuntimeError(
-        f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
-        f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"
-    )
+        else:
+            raise RuntimeError(
+                f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
+                f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"
+            )
+        noisy_pass(sigma, last=True)
+    return g1, sigma
 
 
 def assemble_dataset(
@@ -346,7 +336,7 @@ class Recipe:
         (canonical if None), at ``snr_db`` (the recipe's default if None)."""
         snr_db = self.snr_db if snr_db is None else snr_db
         return assemble_dataset(self.specs, self.grid, self.n_times, self.tr,
-                                hrf_params or canonical_params(), snr_db, rng)
+                                hrf_params or TwoGammaParams(), snr_db, rng)
 
 
 def _brain_spec(theta, centers, radius, kind=TRANSIENT, condition=None):

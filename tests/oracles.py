@@ -13,8 +13,12 @@ task-course references reuse the boxcar and the convolution, because they
 check how courses are stacked and distances summed, condition by condition.
 The copying whitening and the appending breakpoint scan are the package's
 earlier forms, kept as bit-exact references for the forms that hold each
-array once; they reuse the filter's pass count and the soft threshold.
+array once; they reuse the filter's pass count and the soft threshold. The
+serial share runner walks a pass's shares in turn on the calling thread,
+the reference for the threaded runner's bits.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg
@@ -441,6 +445,18 @@ def dense_rician_noise(clean, target_power, rng):
         f"noise calibration did not converge in {_MAX_POWER_EVALS} evaluations: "
         f"sigma {prev_sigma!r} realizes noise amplitude {prev_amp!r}, target {target!r}"
     )
+
+
+def in_turn(task, bounds) -> None:
+    """Call ``task(lo, hi)`` on each share, in order, on the calling thread."""
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        task(lo, hi)
+
+
+@contextmanager
+def serial_share_runner():
+    """``_shares._share_runner`` with no thread: it yields ``in_turn``."""
+    yield in_turn
 
 
 def scipy_two_gamma_curve(params, dt):

@@ -13,9 +13,9 @@ import pytest
 from iadl.evaluation import atlas_fbn_sparsity, match_and_score
 from iadl.hrf import (
     ConditionSpec,
+    TwoGammaParams,
     build_regressor,
     canonical_hrf,
-    canonical_params,
     default_alternate_hrf,
     estimate_c_delta,
     hrf_curve,
@@ -313,7 +313,7 @@ def test_criterion_09_c_delta_estimator():
     tr, n_times = 2.0, 30
     impulse = ConditionSpec(onsets=(0.0,), durations=(tr,))
     got = estimate_c_delta([impulse], n_times, tr)
-    h_ref = hrf_curve(canonical_params(), tr)
+    h_ref = hrf_curve(TwoGammaParams(), tr)
     h_alt = hrf_curve(default_alternate_hrf(), tr)
 
     def unit(h):

@@ -10,7 +10,6 @@ from iadl.hrf import (
     _gamma_pdf,
     build_regressor,
     canonical_hrf,
-    canonical_params,
     default_alternate_hrf,
     estimate_c_delta,
     hrf_curve,
@@ -36,7 +35,7 @@ def test_canonical_peak_location():
 
 
 def test_longer_kernel_shares_prefix():
-    short = hrf_curve(canonical_params(), 0.5)
+    short = hrf_curve(TwoGammaParams(), 0.5)
     long = hrf_curve(TwoGammaParams(kernel_length=64.0), 0.5)
     np.testing.assert_array_equal(long[: short.size], short)
 
@@ -45,7 +44,7 @@ def test_canonical_hrf_length_and_peak():
     h = canonical_hrf(2.0)
     assert h.size == 32 // 2 + 1
     assert np.max(np.abs(h)) == pytest.approx(1.0)
-    np.testing.assert_array_equal(h, hrf_curve(canonical_params(), 2.0))
+    np.testing.assert_array_equal(h, hrf_curve(TwoGammaParams(), 2.0))
 
 
 def test_curves_bounded_by_one():
@@ -64,7 +63,7 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         TwoGammaParams(undershoot_ratio=-0.1)
     with pytest.raises(ValueError):
-        hrf_curve(canonical_params(), 0.0)
+        hrf_curve(TwoGammaParams(), 0.0)
 
 
 @pytest.mark.parametrize("delay, dispersion, values", [
@@ -106,7 +105,7 @@ def test_hrf_curve_matches_scipy_stats_bit_for_bit():
 
 def test_sample_hrf_zero_spread_is_canonical():
     p = sample_hrf(np.random.default_rng(0), spread=0.0)
-    assert p == canonical_params()
+    assert p == TwoGammaParams()
 
 
 def test_sample_hrf_draws_valid_families():
@@ -183,7 +182,7 @@ def test_c_delta_single_impulse_identity():
     tr, n_times = 2.0, 25
     cond = ConditionSpec(onsets=(0.0,), durations=(tr,))
     got = estimate_c_delta([cond], n_times, tr)
-    h_ref = hrf_curve(canonical_params(), tr)
+    h_ref = hrf_curve(TwoGammaParams(), tr)
     h_alt = hrf_curve(default_alternate_hrf(), tr)
 
     def padded_unit(h):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from iadl import io as iadl_io
 from iadl.cli import main
-from iadl.hrf import canonical_params, estimate_c_delta
+from iadl.hrf import TwoGammaParams, estimate_c_delta
 from iadl.initializer import initialize
 from iadl.io import (
     _SCHEMA,
@@ -864,7 +864,7 @@ def test_cli_simulate_at_zero_spread_uses_the_canonical_response(tmp_path):
     save_matrix(RECIPES["mini"].generate(np.random.default_rng(7), snr_db=10.0).x.values, expected)
     assert (data / "x.iadl").read_bytes() == expected.read_bytes()
     meta = json.loads((data / "meta.json").read_text())
-    assert meta["subject_hrf"] == canonical_params().__dict__
+    assert meta["subject_hrf"] == TwoGammaParams().__dict__
 
 
 def _fit_without_data(tmp_path, config, data, start):
@@ -909,6 +909,34 @@ def test_cli_evaluate_refuses_a_report_its_table_would_overwrite(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {report}: ")
     assert not report.parent.exists()
+
+
+def test_cli_evaluate_refuses_a_report_over_its_inputs(tmp_path, capsys, mini_start):
+    # a report or its .csv table on a manifest or a listed file would replace
+    # an input and break its directory's checksums
+    config, shared, _ = mini_start
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    shutil.copytree(shared, data)
+    assert main(["fit", "--config", str(config), "--data", str(data), "--out", str(fit)]) == 0
+
+    def input_bytes():
+        return {path: path.read_bytes() for path in (*data.iterdir(), *fit.iterdir())}
+
+    inputs = input_bytes()
+    for out in (data / "x.iadl", data / "manifest.json", data / "meta.json",
+                fit / "manifest.json", fit / "trace.json"):
+        capsys.readouterr()
+        code = main(["evaluate", "--truth", str(data), "--fit", str(fit), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: --out {out} would write ")
+        assert input_bytes() == inputs
+    # a name the fit directory does not list is a report like any other
+    report = fit / "metrics.json"
+    assert main(["evaluate", "--truth", str(data), "--fit", str(fit), "--out", str(report)]) == 0
+    assert report.is_file() and report.with_suffix(".csv").is_file()
+    verify_manifest(data)
+    verify_manifest(fit)
 
 
 def test_library_start_from_the_config_matches_cli_init(mini_start):

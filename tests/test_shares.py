@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -100,15 +101,11 @@ def test_runner_gives_the_first_share_to_the_calling_thread(monkeypatch):
     assert seen[5, 9] != threading.get_ident() and seen[9, 12] == seen[5, 9]
 
 
-def test_runner_on_one_core_runs_every_share_on_the_calling_thread(monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a pool was started")
+def test_runner_runs_a_one_share_pass_on_the_calling_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a share was sent to a pool thread")
 
-    monkeypatch.setattr(_shares, "ThreadPoolExecutor", NoPool)
-    seen = _thread_of_each_share(1, [0, 5, 9, 12], monkeypatch)
-    assert set(seen.values()) == {threading.get_ident()}
-    # nor with a second core, for a pass of one share
+    monkeypatch.setattr(_shares.ThreadPoolExecutor, "submit", no_thread)
     seen = _thread_of_each_share(2, [0, 12], monkeypatch)
     assert seen == {(0, 12): threading.get_ident()}
 
@@ -126,3 +123,22 @@ def test_runner_raises_a_workers_error_after_every_share_ran(monkeypatch):
         with _shares._share_runner() as run:
             run(task, [0, 4, 8])
     assert done == [0]
+
+
+def test_runner_raises_the_calling_threads_error_once_the_workers_share_ran(monkeypatch):
+    monkeypatch.setattr(_shares, "_usable_cores", lambda: 2)
+    started, done = threading.Event(), []
+
+    def task(lo, hi):
+        if lo == 0:
+            assert started.wait(10)
+            raise ValueError("first share failed")
+        started.set()
+        time.sleep(0.1)
+        done.append(lo)
+
+    with _shares._share_runner() as run:
+        with pytest.raises(ValueError, match="first share failed"):
+            run(task, [0, 4, 8])
+        # the worker's share was still running when the calling thread's failed
+        assert done == [4]

@@ -22,11 +22,13 @@ from iadl.types import CoefficientMatrix, ConstraintSpec, DataMatrix, Dictionary
 from oracles import (
     coefficient_surrogate,
     dictionary_surrogate,
+    in_turn,
     oracle_ball_columns,
     oracle_project,
     oracle_spectral_norm,
     per_atom_dictionary_step,
     random_feasible_points,
+    serial_share_runner,
     weighted_l1_norm,
 )
 
@@ -69,7 +71,7 @@ def coefficient_update(x, d, s, spec):
 def dictionary_update(x, s, d, delta, spec):
     """One majorized dictionary step with its column projections."""
     balls = _atom_balls(delta.values, d.n_atoms, spec)
-    out = _dictionary_step(x.values, s.values, d.values, balls)[0]
+    out = _dictionary_step(x.values, s.values, d.values, balls, in_turn)[0]
     return Dictionary(out, assisted_count=delta.n_courses)
 
 
@@ -195,7 +197,7 @@ def test_dictionary_step_matches_per_atom_reference(
     d0 = oracle_ball_columns(3.0 * rng.standard_normal((t, k)), delta, c_delta, c_d)
     spec = ConstraintSpec(phi=np.full(k, float(n)), c_delta=c_delta, c_d=c_d)
 
-    d_new, violation, _, _ = _dictionary_step(x, s, d0, _atom_balls(delta, k, spec))
+    d_new, violation, _, _ = _dictionary_step(x, s, d0, _atom_balls(delta, k, spec), in_turn)
     ref, c = per_atom_dictionary_step(x, s, d0, delta, c_delta, c_d)
     assert d_new.flags.c_contiguous
     np.testing.assert_allclose(d_new, ref, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
@@ -404,7 +406,8 @@ def test_one_iteration_is_the_plain_step(rng):
     xv, dv, sv = x.values, d0.values, s0.values
     step = _block_step(dv.T @ xv, sv, _step_terms(dv.T @ dv))
     s1 = project_weighted_l1_rows(step, compute_weights(sv, spec.epsilon), spec.phi)
-    d1 = _dictionary_step(x.values, s1, d0.values, _atom_balls(delta.values, d0.n_atoms, spec))[0]
+    balls = _atom_balls(delta.values, d0.n_atoms, spec)
+    d1 = _dictionary_step(x.values, s1, d0.values, balls, in_turn)[0]
     np.testing.assert_array_equal(res.coefficients.values.view(np.int64), s1.view(np.int64))
     np.testing.assert_array_equal(res.dictionary.values.view(np.int64), d1.view(np.int64))
 
@@ -578,20 +581,33 @@ def test_start_and_solve_do_not_depend_on_the_core_count(monkeypatch):
     assert outputs[2] == outputs[0]
 
 
+def test_start_and_solve_do_not_depend_on_which_thread_runs_a_share(monkeypatch):
+    # the serial runner walks the same shares in turn on the calling thread
+    x, d0, s0, delta, spec = _split_instance()
+    outputs = []
+    for runner in (_shares._share_runner, serial_share_runner):
+        monkeypatch.setattr(_shares, "_share_runner", runner)
+        d_init, s_init = initialize(x, d0.n_atoms, delta, spec, InitConfig(refine_iters=3))
+        res = run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=3, rel_obj_tol=0.0))
+        arrays = (d_init.values, s_init.values, res.dictionary.values,
+                  res.coefficients.values, res.trace.objective)
+        outputs.append([a.tobytes() for a in arrays])
+    assert outputs[1] == outputs[0]
+
+
 def test_a_solve_below_the_split_threshold_starts_no_thread(rng, monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a thread pool was started")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a share was sent to a pool thread")
 
     monkeypatch.setattr(_shares, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(_shares, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(_shares.ThreadPoolExecutor, "submit", no_thread)
     # the mini recipe's shape, 150 x 1 600 with K = 8
     x, d0, s0, delta, spec = make_instance(rng, t=150, n=1600, k=8)
     assert x.values.size * d0.n_atoms < _SPLIT_WORK
     initialize(x, d0.n_atoms, delta, spec, InitConfig(refine_iters=3))
     run_iadl(x, d0, s0, delta, spec, SolverConfig(max_iters=3, rel_obj_tol=0.0))
     # above it, the same solve on two cores starts one
-    with pytest.raises(AssertionError, match="thread pool"):
+    with pytest.raises(AssertionError, match="pool thread"):
         run_iadl(*_split_instance(), SolverConfig(max_iters=1))
 
 

@@ -24,7 +24,7 @@ from iadl.synthgen import (
     generate_spatial_map,
     mini_benchmark,
 )
-from iadl.hrf import ConditionSpec, canonical_params
+from iadl.hrf import ConditionSpec, TwoGammaParams
 
 from oracles import dense_rician_noise, sparsity_percentage
 
@@ -101,14 +101,14 @@ def test_artifact_fully_sparse_map(rng):
 def test_assemble_noise_free_sentinel(rng):
     # 60 scans of 2 s end before the later MINI_SPECS blocks start
     with pytest.warns(UserWarning, match="beyond the scan end"):
-        ds = assemble_dataset(MINI_SPECS, (40, 40), 60, 2.0, canonical_params(), np.inf, rng)
+        ds = assemble_dataset(MINI_SPECS, (40, 40), 60, 2.0, TwoGammaParams(), np.inf, rng)
     np.testing.assert_array_equal(ds.x.values, ds.truth.time_courses @ ds.truth.spatial_maps)
     assert ds.noise_sigma == 0.0
 
 
 def test_assemble_zero_db_power_match(rng):
     with pytest.warns(UserWarning, match="beyond the scan end"):
-        ds = assemble_dataset(MINI_SPECS, (40, 40), 80, 2.0, canonical_params(), 0.0, rng)
+        ds = assemble_dataset(MINI_SPECS, (40, 40), 80, 2.0, TwoGammaParams(), 0.0, rng)
     clean = ds.truth.time_courses @ ds.truth.spatial_maps
     p_signal = np.mean(clean**2)
     p_noise = np.mean((ds.x.values - clean) ** 2)
@@ -146,7 +146,7 @@ def test_realized_noise_power_meets_target(seed, snr_db, recipe):
         ds = mini_benchmark(rng, snr_db=snr_db)
     else:
         specs, grid, n_times = recipe
-        ds = assemble_dataset(specs, grid, n_times, 2.0, canonical_params(), snr_db, rng)
+        ds = assemble_dataset(specs, grid, n_times, 2.0, TwoGammaParams(), snr_db, rng)
     clean = ds.truth.time_courses @ ds.truth.spatial_maps
     target = np.mean(clean**2) * 10.0 ** (-snr_db / 10.0)
     if target == 0.0:
@@ -209,7 +209,7 @@ def test_noise_calibration_matches_dense_reference_on_small_recipes(seed, snr_db
         ds = mini_benchmark(rng, snr_db=np.inf)
     else:
         specs, grid, n_times = recipe
-        ds = assemble_dataset(specs, grid, n_times, 2.0, canonical_params(), np.inf, rng)
+        ds = assemble_dataset(specs, grid, n_times, 2.0, TwoGammaParams(), np.inf, rng)
     assert_calibration_matches_dense_reference(_clean(ds), snr_db, seed)
 
 
@@ -234,7 +234,7 @@ def test_assemble_all_zero_signal_gets_no_noise(rng):
     # fully sparse artifacts give an all-zero clean signal: at a finite SNR
     # the target noise power is 0, so sigma is 0 and the data is the signal
     specs = [SyntheticSourceSpec(ARTIFACT_GAUSSIAN, 100.0)] * 2
-    ds = assemble_dataset(specs, (6, 7), 20, 2.0, canonical_params(), 10.0, rng)
+    ds = assemble_dataset(specs, (6, 7), 20, 2.0, TwoGammaParams(), 10.0, rng)
     clean = ds.truth.time_courses @ ds.truth.spatial_maps
     assert not clean.any()
     assert ds.noise_sigma == 0.0
@@ -250,13 +250,13 @@ def test_noise_calibration_that_does_not_settle_raises(rng, monkeypatch):
 
 def test_assemble_rejects_nan_snr(rng):
     with pytest.raises(ValueError):
-        assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, canonical_params(), float("nan"), rng)
+        assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, TwoGammaParams(), float("nan"), rng)
 
 
 def test_assemble_rejects_minus_inf_snr(rng):
     # an infinite noise power has no sigma to calibrate
     with pytest.raises(ValueError, match=r"real number or \+inf"):
-        assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, canonical_params(), -np.inf, rng)
+        assemble_dataset(MINI_SPECS, (40, 40), 50, 2.0, TwoGammaParams(), -np.inf, rng)
 
 
 def test_clean_signal_reconstructs_exactly(rng):
